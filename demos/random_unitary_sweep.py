@@ -28,7 +28,6 @@ def main():
     ap.add_argument("--n", type=int, default=51)
     ap.add_argument("--realizations", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--outdir", type=Path, default=Path("demo_output"))
     args = ap.parse_args()
 
@@ -41,7 +40,7 @@ def main():
         realizations=args.realizations,
         master_seed=args.seed,
     )
-    stats = run_ensemble(config, workers=args.workers)
+    stats = run_ensemble(config)
 
     print(f"Haar ensemble, n={args.n}, R={args.realizations}, seed={args.seed}")
     for i, m in enumerate(config.m_values):

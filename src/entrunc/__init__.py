@@ -9,6 +9,9 @@ Monte Carlo engine and CSV/JSON/SVG emission are included; the ``entrunc``
 console script exposes the sweeps.
 """
 
+# Assigned before the submodule imports: ``results`` reads it when imported.
+__version__ = "0.1.0"
+
 from .analytics import (
     analytic_beta_uniform,
     analytic_purity_m2,
@@ -54,8 +57,6 @@ from .results import (
 )
 from .statespace import HilbertDims, make_initial_state, parity_flag
 from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -8,8 +8,10 @@ check-conjecture compare a random ensemble against the additive purity model
 loss             entanglement loss at s = m over a grid of odd m
 plot             render a saved result table (CSV/JSON) to SVG
 
-Exit codes: 0 success; 2 usage error; 3 numerical error (e.g. a truncation
-window capturing no state weight); 4 conjecture check failed the tolerance.
+Exit codes: 0 success; 2 usage error (a bad flag value, a missing --out
+directory, or a plot input that cannot be read or parsed); 3 numerical error
+(e.g. a truncation window capturing no state weight); 4 conjecture check
+failed the tolerance.
 
 The conjecture check reports every cell's relative deviation
 (analytic − mean)/mean and how many cells fall outside mean ± 2·std/√R.
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import dataclass
 
 from .ensemble import SweepConfig, UnitaryKind, loss_sweep, run_ensemble
-from .errors import EntruncError
+from .errors import DimensionError, EntruncError
 from .plotting import emit_plot
 from .results import (
     ResultTable,
@@ -75,7 +78,7 @@ class ConjectureReport:
     table: ResultTable
 
 
-def check_conjecture(config: SweepConfig, tolerance: float, workers: int = 1) -> ConjectureReport:
+def check_conjecture(config: SweepConfig, tolerance: float) -> ConjectureReport:
     """Run the ensemble and compare mean K against the additive purity model.
 
     A cell is *counted* toward the verdict when m ≥ 5 and s > SMALL_WINDOW_LIMIT;
@@ -83,7 +86,7 @@ def check_conjecture(config: SweepConfig, tolerance: float, workers: int = 1) ->
     """
     if config.unitary_kind is not UnitaryKind.RANDOM_CUE:
         raise EntruncError("the conjecture applies to random-unitary ensembles only")
-    stats = run_ensemble(config, workers=workers)
+    stats = run_ensemble(config)
     table = table_from_stats(stats)
     cells = []
     for row in table.rows:
@@ -148,37 +151,34 @@ def _int_list(parser: argparse.ArgumentParser, flag: str, text: str) -> tuple[in
     return values
 
 
-def _validated_dims(parser, args, *, m_flag_required_odd: bool = False):
-    n = args.n
-    if n < 3 or n % 2 == 0:
-        parser.error(f"--n must be an odd integer >= 3 (got {n})")
+#: Flag that sets each SweepConfig field; the field name starts every DimensionError message.
+_FLAGS = {"n": "--n", "m_values": "--m", "s_values": "--s",
+          "realizations": "--realizations", "master_seed": "--seed"}
+
+
+def _config(parser, args, kind: UnitaryKind) -> SweepConfig:
+    """Build the SweepConfig of a sweep subcommand; invalid values exit 2 naming the flag."""
     m_values = _int_list(parser, "--m", args.m)
-    for m in m_values:
-        if not 2 <= m <= n:
-            parser.error(f"--m values must lie in [2, n={n}] (got {m})")
-        if m_flag_required_odd and m % 2 == 0:
-            parser.error(f"--m values must be odd for loss sweeps (got {m})")
-    if list(m_values) != sorted(set(m_values)):
-        parser.error(f"--m values must be strictly ascending (got {args.m})")
-    if getattr(args, "s", None) is not None:
-        s_values = _int_list(parser, "--s", args.s)
-        for s in s_values:
-            if s % 2 == 0 or not 3 <= s <= n:
-                parser.error(f"--s values must be odd and lie in [3, n={n}] (got {s})")
-        if list(s_values) != sorted(set(s_values)):
-            parser.error(f"--s values must be strictly ascending (got {args.s})")
+    loss = args.command == "loss"
+    if loss:
+        s_values = m_values
+    elif args.s is None:
+        s_values = tuple(range(3, args.n + 1, 2))
     else:
-        s_values = tuple(range(3, n + 1, 2))
-    return n, m_values, s_values
-
-
-def _check_seed(parser, args) -> None:
-    if args.seed < 0:
-        parser.error(f"--seed must be nonnegative (got {args.seed})")
-    if args.realizations < 1:
-        parser.error(f"--realizations must be >= 1 (got {args.realizations})")
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1 (got {args.workers})")
+        s_values = _int_list(parser, "--s", args.s)
+    draws = {}
+    if kind is UnitaryKind.RANDOM_CUE:
+        if args.workers < 1:
+            parser.error(f"--workers must be >= 1 (got {args.workers})")
+        draws = dict(realizations=args.realizations, master_seed=args.seed,
+                     independent_ab=not args.shared_unitary)
+    try:
+        return SweepConfig(n=args.n, m_values=m_values, s_values=s_values,
+                           unitary_kind=kind, **draws)
+    except DimensionError as err:
+        field, _, rest = str(err).partition(" ")
+        flag = "--m" if loss and field == "s_values" else _FLAGS[field]
+        parser.error(f"{flag} {rest}")
 
 
 def _write_output(table, args) -> None:
@@ -201,7 +201,7 @@ def _add_random_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--realizations", type=int, default=100, help="random draws per cell")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument("--workers", type=int, default=1,
-                     help="worker threads (never changes results)")
+                     help="accepted for compatibility; has no effect (realizations run serially)")
     sub.add_argument("--shared-unitary", action="store_true",
                      help="apply one draw to both subsystems instead of independent draws")
 
@@ -216,59 +216,44 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_sweep_uniform(parser, args) -> int:
-    n, m_values, s_values = _validated_dims(parser, args)
-    config = SweepConfig(n=n, m_values=m_values, s_values=s_values,
-                         unitary_kind=UnitaryKind.UNIFORM_SPREADING)
+    config = _config(parser, args, UnitaryKind.UNIFORM_SPREADING)
     _write_output(table_from_stats(run_ensemble(config)), args)
     return EXIT_OK
 
 
 def cmd_sweep_random(parser, args) -> int:
-    n, m_values, s_values = _validated_dims(parser, args)
-    _check_seed(parser, args)
-    config = SweepConfig(n=n, m_values=m_values, s_values=s_values,
-                         unitary_kind=UnitaryKind.RANDOM_CUE,
-                         realizations=args.realizations, master_seed=args.seed,
-                         independent_ab=not args.shared_unitary)
-    stats = run_ensemble(config, workers=args.workers)
-    _write_output(table_from_stats(stats), args)
+    config = _config(parser, args, UnitaryKind.RANDOM_CUE)
+    _write_output(table_from_stats(run_ensemble(config)), args)
     return EXIT_OK
 
 
 def cmd_check_conjecture(parser, args) -> int:
-    n, m_values, s_values = _validated_dims(parser, args)
-    _check_seed(parser, args)
+    config = _config(parser, args, UnitaryKind.RANDOM_CUE)
     if not 0 < args.tolerance < 1:
         parser.error(f"--tolerance must lie in (0, 1) (got {args.tolerance})")
-    config = SweepConfig(n=n, m_values=m_values, s_values=s_values,
-                         unitary_kind=UnitaryKind.RANDOM_CUE,
-                         realizations=args.realizations, master_seed=args.seed,
-                         independent_ab=not args.shared_unitary)
-    report = check_conjecture(config, args.tolerance, workers=args.workers)
+    report = check_conjecture(config, args.tolerance)
     if args.out is not None:
         emit_table(report.table, args.format, args.out)
         logger.info("wrote %s", args.out)
-    print(f"conjecture check: n={n} realizations={args.realizations} "
-          f"seed={args.seed} tolerance={args.tolerance:.2%}")
+    print(f"conjecture check: n={config.n} realizations={config.realizations} "
+          f"seed={config.master_seed} tolerance={args.tolerance:.2%}")
     for line in _report_lines(report):
         print(line)
     return EXIT_OK if report.passed else EXIT_CONJECTURE
 
 
 def cmd_loss(parser, args) -> int:
-    n, m_values, _ = _validated_dims(parser, args, m_flag_required_odd=True)
-    _check_seed(parser, args)
-    config = SweepConfig(n=n, m_values=m_values, s_values=m_values,
-                         unitary_kind=UnitaryKind.RANDOM_CUE,
-                         realizations=args.realizations, master_seed=args.seed,
-                         independent_ab=not args.shared_unitary)
-    points = loss_sweep(config, workers=args.workers)
-    _write_output(table_from_loss(points, config), args)
+    config = _config(parser, args, UnitaryKind.RANDOM_CUE)
+    _write_output(table_from_loss(loss_sweep(config), config), args)
     return EXIT_OK
 
 
 def cmd_plot(parser, args) -> int:
-    table = parse_table(args.table)
+    try:
+        table = parse_table(args.table)
+    except (OSError, ValueError, EntruncError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     emit_plot(table, args.out)
     logger.info("wrote %s", args.out)
     return EXIT_OK
@@ -319,6 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is not None:
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(out_dir):
+            parser.error(f"--out directory does not exist: {out_dir}")
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

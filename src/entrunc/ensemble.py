@@ -8,17 +8,17 @@ deviations.
 
 Reproducibility contract: realization j of encoding dimension m uses the
 streams ``base.child(j, 0)`` and ``base.child(j, 1)`` for the two
-subsystems, results are collected into arrays indexed by j, and statistics
-are reduced in fixed index order — so the output is bit-identical for a
-fixed master seed no matter how many worker threads execute the
-realizations.
+subsystems, realizations run one after another in index order, and
+statistics are reduced in fixed index order — so the output is bit-identical
+for a fixed master seed, numpy/BLAS build and BLAS thread count.  The
+``workers`` argument of :func:`run_ensemble` and :func:`loss_sweep` is
+accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError
 from .pipeline import evolve, reduced_purity, schmidt_number, truncate
-from .statespace import HilbertDims, make_initial_state
+from .statespace import HilbertDims, _check_odd, make_initial_state
 from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
 
 __all__ = [
@@ -81,8 +81,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "m_values", tuple(self.m_values))
         object.__setattr__(self, "s_values", tuple(self.s_values))
-        if self.n < 3 or self.n % 2 == 0:
-            raise DimensionError(f"n must be an odd integer >= 3, got {self.n}")
+        _check_odd(self.n, "n", 3)
         _check_values("m_values", self.m_values, 2, self.n, odd=False)
         _check_values("s_values", self.s_values, 3, self.n, odd=True)
         if self.realizations < 1:
@@ -162,57 +161,41 @@ def run_cell(
 
 
 def _collect(
-    config: SweepConfig, m: int, s_values: tuple[int, ...], workers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """K and captured-weight arrays of shape (realizations, len(s_values)) for one m."""
-    base = RngStream(config.master_seed)
-    count = config.realizations
+    config: SweepConfig, m: int, s_values: tuple[int, ...]
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Realizations of one m reduced per window.
 
-    def one(j: int) -> list[tuple[int, float, float]]:
-        try:
-            return run_cell(
-                config.n, m, s_values, config.unitary_kind, base.child(j), config.independent_ab
-            )
-        except DegenerateTruncationError as err:
-            raise DegenerateTruncationError(f"realization {j}: {err}") from err
-
-    k_values = np.empty((count, len(s_values)))
-    weights = np.empty((count, len(s_values)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(count)))
+    Returns the number of realizations run (one, without a stream, for the
+    deterministic uniform kind) and arrays of length len(s_values) holding
+    the mean K, the population std of K and the mean captured weight.
+    """
+    if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING:
+        rows = [run_cell(config.n, m, s_values, config.unitary_kind)]
     else:
-        rows = [one(j) for j in range(count)]
-    for j, row in enumerate(rows):
-        for i, (_, k, w) in enumerate(row):
-            k_values[j, i] = k
-            weights[j, i] = w
-    return k_values, weights
+        base = RngStream(config.master_seed)
+        rows = []
+        for j in range(config.realizations):
+            try:
+                rows.append(run_cell(config.n, m, s_values, config.unitary_kind,
+                                     base.child(j), config.independent_ab))
+            except DegenerateTruncationError as err:
+                raise DegenerateTruncationError(f"realization {j}: {err}") from err
+    logger.debug("n=%d m=%d: %d realization(s) over %d window(s)",
+                 config.n, m, len(rows), len(s_values))
+    k_values = np.array([[k for _, k, _ in row] for row in rows])
+    weights = np.array([[w for _, _, w in row] for row in rows])
+    return len(rows), k_values.mean(axis=0), k_values.std(axis=0), weights.mean(axis=0)
 
 
 def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
     """Sweep the full (m, s) grid of ``config`` and aggregate statistics.
 
-    ``workers`` sets the number of worker threads per m; it changes wall
-    time only, never the result.
+    ``workers`` is accepted for compatibility and has no effect.
     """
-    deterministic = config.unitary_kind is UnitaryKind.UNIFORM_SPREADING
-    realizations = 1 if deterministic else config.realizations
     shape = (len(config.m_values), len(config.s_values))
-    mean_k = np.empty(shape)
-    std_k = np.zeros(shape)
-    mean_w = np.empty(shape)
+    mean_k, std_k, mean_w = np.empty(shape), np.empty(shape), np.empty(shape)
     for i, m in enumerate(config.m_values):
-        logger.debug("sweep n=%d m=%d: %d realization(s)", config.n, m, realizations)
-        if deterministic:
-            row = run_cell(config.n, m, config.s_values, config.unitary_kind)
-            mean_k[i] = [k for _, k, _ in row]
-            mean_w[i] = [w for _, _, w in row]
-        else:
-            k_values, weights = _collect(config, m, config.s_values, workers)
-            mean_k[i] = k_values.mean(axis=0)
-            std_k[i] = k_values.std(axis=0)
-            mean_w[i] = weights.mean(axis=0)
+        realizations, mean_k[i], std_k[i], mean_w[i] = _collect(config, m, config.s_values)
     return EnsembleStats(
         n=config.n,
         unitary_kind=config.unitary_kind,
@@ -231,7 +214,8 @@ def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:
     """Entanglement loss Δ = m − mean K with the window matched to the encoding (s = m).
 
     Requires ``config.s_values == config.m_values`` (both odd, ascending);
-    only the diagonal cells are computed.
+    only the diagonal cells are computed.  ``workers`` is accepted for
+    compatibility and has no effect.
     """
     if config.s_values != config.m_values:
         raise DimensionError(
@@ -239,21 +223,14 @@ def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:
         )
     points = []
     for m in config.m_values:
-        logger.debug("loss n=%d m=s=%d: %d realization(s)", config.n, m, config.realizations)
-        if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING:
-            row = run_cell(config.n, m, (m,), config.unitary_kind)
-            k_values = np.array([row[0][1]])
-            weights = np.array([row[0][2]])
-        else:
-            k_col, w_col = _collect(config, m, (m,), workers)
-            k_values, weights = k_col[:, 0], w_col[:, 0]
+        _, (mean_k,), (std_k,), (mean_w,) = _collect(config, m, (m,))
         points.append(
             LossPoint(
                 m=m,
-                mean_loss=float(m - k_values.mean()),
-                std_loss=float(k_values.std()),
-                mean_K=float(k_values.mean()),
-                mean_captured_weight=float(weights.mean()),
+                mean_loss=float(m - mean_k),
+                std_loss=float(std_k),
+                mean_K=float(mean_k),
+                mean_captured_weight=float(mean_w),
             )
         )
     return points

@@ -12,11 +12,13 @@ the effective number of entangled dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError, DomainError
+from .statespace import _check_odd
 
 __all__ = [
     "TruncatedState",
@@ -86,8 +88,7 @@ def truncate(state: np.ndarray, s: int) -> TruncatedState:
     ``DEGENERATE_WEIGHT`` of the state's weight.
     """
     n = _require_square(state, "state")
-    if s < 3 or s % 2 == 0:
-        raise DimensionError(f"s must be an odd integer >= 3, got {s}")
+    _check_odd(s, "s", 3)
     if s > n:
         raise DimensionError(f"s must not exceed the state dimension {n}, got {s}")
     lo = (n - s) // 2
@@ -120,6 +121,6 @@ def reduced_purity(state: TruncatedState) -> float:
 
 def schmidt_number(purity: float) -> float:
     """K = 1/P: 1 for a separable state up to d for maximal entanglement in d."""
-    if purity <= 0.0:
-        raise DomainError(f"purity must be positive, got {purity}")
+    if not 0.0 < purity < math.inf:
+        raise DomainError(f"purity must be positive and finite, got {purity}")
     return 1.0 / purity

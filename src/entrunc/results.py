@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .analytics import analytic_purity_m2, conjectured_schmidt_number
 from .ensemble import EnsembleStats, LossPoint, SweepConfig, UnitaryKind
 from .errors import EntruncError
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 CANONICAL_COLUMNS = ("m", "s", "mean_K", "std_K", "analytic_K", "captured_weight")
-_INT_COLUMNS = {"m", "s"}
+_REQUIRED_COLUMNS = ("m", "s", "mean_K", "captured_weight")
 FORMAT_NAME = "entrunc-result"
 
 
@@ -79,7 +80,7 @@ class ResultTable:
 
 def _metadata(config_like, run_kind: str) -> dict[str, str]:
     md = {
-        "version": "0.1.0",
+        "version": __version__,
         "run_kind": run_kind,
         "n": str(config_like.n),
         "unitary_kind": config_like.unitary_kind.value,
@@ -179,21 +180,21 @@ def render_table(table: ResultTable, format: str) -> str:
     raise EntruncError(f"unknown output format {format!r} (expected 'csv' or 'json')")
 
 
-def _parse_cell(column: str, text: str):
-    if text == "":
-        return None
-    if column in _INT_COLUMNS:
-        return int(text)
-    return float(text)
-
-
-def _rows_from_lists(columns: list[str], records: list[list]) -> tuple[ResultRow, ...]:
+def _rows_from_lists(columns: list[str], records: list[list], path) -> tuple[ResultRow, ...]:
     unknown = set(columns) - set(CANONICAL_COLUMNS)
     if unknown:
         raise EntruncError(f"unknown result columns: {sorted(unknown)}")
+    missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
+    if missing:
+        raise EntruncError(f"{path}: missing result columns {missing}")
     rows = []
-    for record in records:
-        data = dict(zip(columns, record))
+    for number, record in enumerate(records, 1):
+        data = {c: None if cell == "" else cell for c, cell in zip(columns, record)}
+        if len(record) != len(columns) or any(data[c] is None for c in _REQUIRED_COLUMNS):
+            raise EntruncError(
+                f"{path}: data row {number} must have {len(columns)} cells with"
+                f" {', '.join(_REQUIRED_COLUMNS)} set, got {record}"
+            )
         rows.append(
             ResultRow(
                 m=int(data["m"]),
@@ -215,12 +216,9 @@ def parse_table(path) -> ResultTable:
         payload = json.loads(text)
         if payload.get("format") != FORMAT_NAME:
             raise EntruncError(f"not an {FORMAT_NAME} JSON file: {path}")
-        records = [
-            [None if cell is None else cell for cell in record] for record in payload["rows"]
-        ]
         return ResultTable(
             metadata=dict(payload["metadata"]),
-            rows=_rows_from_lists(list(payload["columns"]), records),
+            rows=_rows_from_lists(list(payload["columns"]), payload["rows"], path),
         )
     metadata: dict[str, str] = {}
     columns: list[str] = []
@@ -235,8 +233,7 @@ def parse_table(path) -> ResultTable:
         if not columns:
             columns = line.split(",")
             continue
-        cells = line.split(",")
-        records.append([_parse_cell(c, v) for c, v in zip(columns, cells)])
+        records.append(line.split(","))
     if not columns:
         raise EntruncError(f"no column header found in {path}")
-    return ResultTable(metadata=metadata, rows=_rows_from_lists(columns, records))
+    return ResultTable(metadata=metadata, rows=_rows_from_lists(columns, records, path))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .statespace import _check_odd
 
 __all__ = ["RngStream", "uniform_spreading_unitary", "sample_cue"]
 
@@ -57,8 +57,7 @@ def uniform_spreading_unitary(n: int) -> np.ndarray:
     equal-magnitude superposition (|U_{l,k}|² = 1/n), i.e. the columns form a
     basis mutually unbiased with the computational one.
     """
-    if n < 3 or n % 2 == 0:
-        raise DimensionError(f"n must be an odd integer >= 3, got {n}")
+    _check_odd(n, "n", 3)
     levels = np.arange(-(n // 2), n // 2 + 1)
     return np.exp(2j * np.pi * np.outer(levels, levels) / n) / np.sqrt(n)
 
@@ -73,8 +72,7 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     that some |R_jj| underflows to 0 the draw is retried on the next
     sub-stream (logged), keeping the result a pure function of ``stream``.
     """
-    if n < 3 or n % 2 == 0:
-        raise DimensionError(f"n must be an odd integer >= 3, got {n}")
+    _check_odd(n, "n", 3)
     attempt = 0
     while True:
         source = stream if attempt == 0 else stream.child(attempt)

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from entrunc import SweepConfig, UnitaryKind, parse_table, run_ensemble, table_from_stats
-from entrunc.cli import EXIT_CONJECTURE, EXIT_NUMERICAL, EXIT_OK, main
+from entrunc.cli import EXIT_CONJECTURE, EXIT_OK, EXIT_USAGE, main
 
 
 def run_main(argv):
@@ -31,6 +31,10 @@ def run_main(argv):
         (["sweep-uniform", "--n", "9", "--m", "2", "--bogus"], "--bogus"),
         (["sweep-uniform", "--n", "9"], "--m"),
         ([], "command"),
+        (["sweep-uniform", "--n", "9", "--m", "2", "--s", "11"], "error: --s"),
+        (["sweep-uniform", "--n", "9", "--m", "1"], "error: --m"),
+        (["loss", "--n", "9", "--m", "2"], "error: --m"),
+        (["sweep-uniform", "--n", "9", "--m", "2", "--out", "no/such/dir/t.csv"], "error: --out"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, needle):
@@ -184,11 +188,25 @@ def test_plot_is_deterministic(tmp_path):
 
 
 def test_plot_rejects_foreign_input(tmp_path, capsys):
-    bogus = tmp_path / "bogus.csv"
-    bogus.write_text("a,b\n1,2\n")
-    code = run_main(["plot", str(bogus), "--out", str(tmp_path / "x.svg")])
-    assert code == EXIT_NUMERICAL
-    assert "error:" in capsys.readouterr().err
+    inputs = {
+        "bogus.csv": "a,b\n1,2\n",
+        "short_row.csv": "m,s,mean_K,captured_weight\n3,3,1.0\n",
+        "long_row.csv": "m,s,mean_K,captured_weight\n3,3,1.0,0.5,9\n",
+        "empty_m.csv": "m,s,mean_K,captured_weight\n,3,1.0,0.5\n",
+        "no_weight.csv": "m,s,mean_K\n3,3,1.0\n",
+        "not_a_number.csv": "m,s,mean_K,captured_weight\n3,3,abc,0.5\n",
+        "short_row.json": '{"format": "entrunc-result", "metadata": {},'
+                          ' "columns": ["m", "s", "mean_K", "captured_weight"], "rows": [[3, 3, 1.0]]}',
+        "broken.json": "{",
+        "missing.csv": None,
+    }
+    for name, text in inputs.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        code = run_main(["plot", str(path), "--out", str(tmp_path / "x.svg")])
+        assert code == EXIT_USAGE, name
+        assert "error:" in capsys.readouterr().err, name
 
 
 # --- installed entry point --------------------------------------------------------

@@ -218,9 +218,12 @@ def test_loss_points_are_consistent():
 
 
 def test_loss_matches_diagonal_of_full_sweep():
-    config = SweepConfig(n=11, m_values=(3, 5), s_values=(3, 5), realizations=6, master_seed=9)
-    points = loss_sweep(config)
-    stats = run_ensemble(config)
-    for i, p in enumerate(points):
-        assert p.mean_K == stats.mean_K[i, i]
-        assert p.std_loss == stats.std_K[i, i]
+    for kind in UnitaryKind:
+        config = SweepConfig(n=11, m_values=(3, 5), s_values=(3, 5), unitary_kind=kind,
+                             realizations=6, master_seed=9)
+        points = loss_sweep(config)
+        stats = run_ensemble(config)
+        for i, p in enumerate(points):
+            assert p.mean_K == stats.mean_K[i, i]
+            assert p.std_loss == stats.std_K[i, i]
+            assert p.mean_captured_weight == stats.mean_captured_weight[i, i]

@@ -155,7 +155,7 @@ def test_schmidt_number_values():
     assert schmidt_number(0.5) == 2.0
 
 
-@pytest.mark.parametrize("purity", [0.0, -0.3])
+@pytest.mark.parametrize("purity", [0.0, -0.3, float("nan"), float("inf")])
 def test_schmidt_number_rejects_nonpositive(purity):
     with pytest.raises(DomainError):
         schmidt_number(purity)
