@@ -12,99 +12,18 @@ console script exposes the sweeps.
 # Assigned before the submodule imports: ``results`` reads it when imported.
 __version__ = "0.1.0"
 
-from .analytics import (
-    analytic_beta_uniform,
-    analytic_purity_m2,
-    conjectured_purity,
-    conjectured_schmidt_number,
-    entanglement_loss,
-    linear_approx_K,
-    sinc,
-)
-from .ensemble import (
-    EnsembleStats,
-    LossPoint,
-    SweepConfig,
-    UnitaryKind,
-    loss_sweep,
-    run_cell,
-    run_ensemble,
-)
-from .errors import (
-    DegenerateTruncationError,
-    DimensionError,
-    DomainError,
-    EntruncError,
-)
-from .pipeline import (
-    TruncatedState,
-    evolve,
-    reduced_density,
-    reduced_purity,
-    schmidt_number,
-    truncate,
-)
-from .plotting import emit_plot, render_svg
-from .results import (
-    ResultRow,
-    ResultTable,
-    emit_table,
-    parse_table,
-    render_csv,
-    render_json,
-    table_from_loss,
-    table_from_stats,
-)
-from .statespace import HilbertDims, make_initial_state, parity_flag
-from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
+from . import analytics, ensemble, errors, pipeline, plotting, results, statespace, unitaries
+from .analytics import *  # noqa: F403 -- each module's __all__ is its one list of public names
+from .ensemble import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .plotting import *  # noqa: F403
+from .results import *  # noqa: F403
+from .statespace import *  # noqa: F403
+from .unitaries import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # statespace
-    "HilbertDims",
-    "make_initial_state",
-    "parity_flag",
-    # unitaries
-    "RngStream",
-    "uniform_spreading_unitary",
-    "sample_cue",
-    # pipeline
-    "TruncatedState",
-    "evolve",
-    "truncate",
-    "reduced_density",
-    "reduced_purity",
-    "schmidt_number",
-    # analytics
-    "sinc",
-    "analytic_beta_uniform",
-    "analytic_purity_m2",
-    "conjectured_purity",
-    "conjectured_schmidt_number",
-    "entanglement_loss",
-    "linear_approx_K",
-    # ensemble
-    "UnitaryKind",
-    "SweepConfig",
-    "EnsembleStats",
-    "LossPoint",
-    "run_cell",
-    "run_ensemble",
-    "loss_sweep",
-    # io
-    "ResultRow",
-    "ResultTable",
-    "table_from_stats",
-    "table_from_loss",
-    "render_csv",
-    "render_json",
-    "emit_table",
-    "parse_table",
-    "render_svg",
-    "emit_plot",
-    # errors
-    "EntruncError",
-    "DimensionError",
-    "DegenerateTruncationError",
-    "DomainError",
+__all__ = ["__version__"] + [
+    name
+    for module in (analytics, ensemble, errors, pipeline, plotting, results, statespace, unitaries)
+    for name in module.__all__
 ]

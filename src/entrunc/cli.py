@@ -9,9 +9,9 @@ loss             entanglement loss at s = m over a grid of odd m
 plot             render a saved result table (CSV/JSON) to SVG
 
 Exit codes: 0 success; 2 usage error (a bad flag value, a missing --out
-directory, or a plot input that cannot be read or parsed); 3 numerical error
-(e.g. a truncation window capturing no state weight); 4 conjecture check
-failed the tolerance.
+directory, an --out that is a directory or cannot be written, or a plot input
+that cannot be read or parsed); 3 numerical error (e.g. a truncation window
+capturing no state weight); 4 conjecture check failed the tolerance.
 
 The conjecture check reports every cell's relative deviation
 (analytic − mean)/mean and how many cells fall outside mean ± 2·std/√R.
@@ -33,6 +33,7 @@ from .ensemble import SweepConfig, UnitaryKind, loss_sweep, run_ensemble
 from .errors import DimensionError, EntruncError
 from .plotting import emit_plot
 from .results import (
+    ResultRow,
     ResultTable,
     emit_table,
     parse_table,
@@ -59,23 +60,29 @@ SMALL_WINDOW_LIMIT = 11
 
 
 @dataclass(frozen=True)
-class CellCheck:
-    m: int
-    s: int
-    mean_K: float
-    std_K: float
-    analytic_K: float
-    rel_dev: float
-    outside_se: bool
-    counted: bool
-
-
-@dataclass(frozen=True)
 class ConjectureReport:
-    cells: tuple[CellCheck, ...]
+    """The checked ensemble table, its realization count R and the verdict."""
+
+    table: ResultTable
+    realizations: int
     tolerance: float
     passed: bool
-    table: ResultTable
+
+
+def _rel_dev(row: ResultRow) -> float:
+    return (row.analytic_K - row.mean_K) / row.mean_K
+
+
+def _outside_se(row: ResultRow, realizations: int) -> bool:
+    return abs(row.analytic_K - row.mean_K) > 2.0 * row.std_K / realizations**0.5
+
+
+def _counted(row: ResultRow) -> bool:
+    return row.m >= 5 and row.s > SMALL_WINDOW_LIMIT
+
+
+def _worst(rows: list[ResultRow]) -> ResultRow:
+    return max(rows, key=lambda row: abs(_rel_dev(row)))
 
 
 def check_conjecture(config: SweepConfig, tolerance: float) -> ConjectureReport:
@@ -86,51 +93,36 @@ def check_conjecture(config: SweepConfig, tolerance: float) -> ConjectureReport:
     """
     if config.unitary_kind is not UnitaryKind.RANDOM_CUE:
         raise EntruncError("the conjecture applies to random-unitary ensembles only")
-    stats = run_ensemble(config)
-    table = table_from_stats(stats)
-    cells = []
-    for row in table.rows:
-        dev = (row.analytic_K - row.mean_K) / row.mean_K
-        sigma = 2.0 * row.std_K / config.realizations**0.5
-        cells.append(
-            CellCheck(
-                m=row.m,
-                s=row.s,
-                mean_K=row.mean_K,
-                std_K=row.std_K,
-                analytic_K=row.analytic_K,
-                rel_dev=dev,
-                outside_se=abs(row.analytic_K - row.mean_K) > sigma,
-                counted=row.m >= 5 and row.s > SMALL_WINDOW_LIMIT,
-            )
-        )
-    passed = all(abs(c.rel_dev) <= tolerance for c in cells if c.counted)
-    return ConjectureReport(cells=tuple(cells), tolerance=tolerance, passed=passed, table=table)
+    table = table_from_stats(run_ensemble(config))
+    passed = all(abs(_rel_dev(row)) <= tolerance for row in table.rows if _counted(row))
+    return ConjectureReport(table=table, realizations=config.realizations,
+                            tolerance=tolerance, passed=passed)
 
 
 def _report_lines(report: ConjectureReport) -> list[str]:
+    rows = report.table.rows
     lines = []
-    for m in sorted({c.m for c in report.cells}):
-        group = [c for c in report.cells if c.m == m]
-        worst = max(group, key=lambda c: abs(c.rel_dev))
-        counted = [c for c in group if c.counted]
-        outside = sum(c.outside_se for c in group)
-        expected = sum(not c.counted for c in group)
+    for m in sorted({r.m for r in rows}):
+        group = [r for r in rows if r.m == m]
+        worst = _worst(group)
+        counted = [r for r in group if _counted(r)]
+        outside = sum(_outside_se(r, report.realizations) for r in group)
+        expected = len(group) - len(counted)
         line = (
-            f"m={m:3d}: max |rel dev| {abs(worst.rel_dev):6.2%} at s={worst.s};"
+            f"m={m:3d}: max |rel dev| {abs(_rel_dev(worst)):6.2%} at s={worst.s};"
             f" {outside}/{len(group)} cells outside 2*std/sqrt(R);"
             f" {expected} expected-deviation/informational cell(s)"
         )
         if counted:
-            worst_counted = max(counted, key=lambda c: abs(c.rel_dev))
-            line += f"; counted max {abs(worst_counted.rel_dev):6.2%} at s={worst_counted.s}"
+            worst_counted = _worst(counted)
+            line += f"; counted max {abs(_rel_dev(worst_counted)):6.2%} at s={worst_counted.s}"
         lines.append(line)
-    counted = [c for c in report.cells if c.counted]
+    counted = [r for r in rows if _counted(r)]
     if counted:
-        worst = max(counted, key=lambda c: abs(c.rel_dev))
+        worst = _worst(counted)
         verdict = "PASS" if report.passed else "FAIL"
         lines.append(
-            f"verdict: {verdict} — worst counted deviation {abs(worst.rel_dev):.2%} at "
+            f"verdict: {verdict} — worst counted deviation {abs(_rel_dev(worst)):.2%} at "
             f"(m={worst.m}, s={worst.s}) vs tolerance {report.tolerance:.2%}"
         )
     else:
@@ -156,7 +148,7 @@ _FLAGS = {"n": "--n", "m_values": "--m", "s_values": "--s",
           "realizations": "--realizations", "master_seed": "--seed"}
 
 
-def _config(parser, args, kind: UnitaryKind) -> SweepConfig:
+def _config(parser, args) -> SweepConfig:
     """Build the SweepConfig of a sweep subcommand; invalid values exit 2 naming the flag."""
     m_values = _int_list(parser, "--m", args.m)
     loss = args.command == "loss"
@@ -167,14 +159,14 @@ def _config(parser, args, kind: UnitaryKind) -> SweepConfig:
     else:
         s_values = _int_list(parser, "--s", args.s)
     draws = {}
-    if kind is UnitaryKind.RANDOM_CUE:
+    if args.kind is UnitaryKind.RANDOM_CUE:
         if args.workers < 1:
             parser.error(f"--workers must be >= 1 (got {args.workers})")
         draws = dict(realizations=args.realizations, master_seed=args.seed,
                      independent_ab=not args.shared_unitary)
     try:
         return SweepConfig(n=args.n, m_values=m_values, s_values=s_values,
-                           unitary_kind=kind, **draws)
+                           unitary_kind=args.kind, **draws)
     except DimensionError as err:
         field, _, rest = str(err).partition(" ")
         flag = "--m" if loss and field == "s_values" else _FLAGS[field]
@@ -198,6 +190,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser, with_s: bool = True) -> None:
 
 
 def _add_random_flags(sub: argparse.ArgumentParser) -> None:
+    sub.set_defaults(kind=UnitaryKind.RANDOM_CUE)
     sub.add_argument("--realizations", type=int, default=100, help="random draws per cell")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument("--workers", type=int, default=1,
@@ -215,26 +208,18 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 # subcommand handlers
 
 
-def cmd_sweep_uniform(parser, args) -> int:
-    config = _config(parser, args, UnitaryKind.UNIFORM_SPREADING)
-    _write_output(table_from_stats(run_ensemble(config)), args)
-    return EXIT_OK
-
-
-def cmd_sweep_random(parser, args) -> int:
-    config = _config(parser, args, UnitaryKind.RANDOM_CUE)
-    _write_output(table_from_stats(run_ensemble(config)), args)
+def cmd_sweep(parser, args) -> int:
+    _write_output(table_from_stats(run_ensemble(_config(parser, args))), args)
     return EXIT_OK
 
 
 def cmd_check_conjecture(parser, args) -> int:
-    config = _config(parser, args, UnitaryKind.RANDOM_CUE)
+    config = _config(parser, args)
     if not 0 < args.tolerance < 1:
         parser.error(f"--tolerance must lie in (0, 1) (got {args.tolerance})")
     report = check_conjecture(config, args.tolerance)
     if args.out is not None:
-        emit_table(report.table, args.format, args.out)
-        logger.info("wrote %s", args.out)
+        _write_output(report.table, args)
     print(f"conjecture check: n={config.n} realizations={config.realizations} "
           f"seed={config.master_seed} tolerance={args.tolerance:.2%}")
     for line in _report_lines(report):
@@ -243,7 +228,7 @@ def cmd_check_conjecture(parser, args) -> int:
 
 
 def cmd_loss(parser, args) -> int:
-    config = _config(parser, args, UnitaryKind.RANDOM_CUE)
+    config = _config(parser, args)
     _write_output(table_from_loss(loss_sweep(config), config), args)
     return EXIT_OK
 
@@ -251,7 +236,7 @@ def cmd_loss(parser, args) -> int:
 def cmd_plot(parser, args) -> int:
     try:
         table = parse_table(args.table)
-    except (OSError, ValueError, EntruncError) as err:
+    except (ValueError, EntruncError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     emit_plot(table, args.out)
@@ -270,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="deterministic uniform-spreading sweep")
     _add_grid_flags(sub)
     _add_output_flags(sub)
-    sub.set_defaults(func=cmd_sweep_uniform)
+    sub.set_defaults(func=cmd_sweep, kind=UnitaryKind.UNIFORM_SPREADING)
 
     sub = subparsers.add_parser("sweep-random", help="Haar-random ensemble sweep")
     _add_grid_flags(sub)
     _add_random_flags(sub)
     _add_output_flags(sub)
-    sub.set_defaults(func=cmd_sweep_random)
+    sub.set_defaults(func=cmd_sweep)
 
     sub = subparsers.add_parser("check-conjecture",
                                 help="compare ensemble means against the additive purity model")
@@ -308,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(out_dir):
             parser.error(f"--out directory does not exist: {out_dir}")
+        if os.path.exists(args.out) and not os.path.isfile(args.out):
+            parser.error(f"--out exists and is not a regular file: {args.out}")
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
@@ -315,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except EntruncError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as err:  # reading a plot input or writing --out
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

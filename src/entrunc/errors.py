@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all entrunc modules."""
 
+__all__ = ["EntruncError", "DimensionError", "DegenerateTruncationError", "DomainError"]
+
 
 class EntruncError(Exception):
     """Base class for all errors raised by this package."""

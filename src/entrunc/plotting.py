@@ -2,18 +2,18 @@
 
 Data-faithful, dependency-free plots: grid sweeps are drawn as one
 polyline+markers per encoding dimension m (Schmidt number K against the
-window size s), loss tables as the loss Δ = m − mean_K against m.  Error
-bars are vertical ±std segments; when a table carries an analytic column it
-is overlaid as a dashed curve.  Output is a pure function of the table, so
-re-rendering the same data yields byte-identical files.
+window size s, with a legend), loss tables as one curve of the loss
+Δ = m − mean_K against m.  Error bars are vertical ±std segments; when a
+table carries an analytic column it is overlaid as a dashed curve, in the
+curve's colour for a sweep and in black for a loss table.  Output is a pure
+function of the table, so re-rendering the same data yields byte-identical
+files.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .errors import EntruncError
-from .results import ResultRow, ResultTable
+from .results import ResultTable, _write_text
 
 __all__ = ["render_svg", "emit_plot"]
 
@@ -131,55 +131,42 @@ def _frame_svg(axes: _Axes, x_label: str, y_label: str, title: str) -> list[str]
     return parts
 
 
-def _loss_view(rows: tuple[ResultRow, ...]):
-    xs = [float(r.m) for r in rows]
-    ys = [r.m - r.mean_K for r in rows]
-    errs = [r.std_K or 0.0 for r in rows]
-    analytic = [r.m - r.analytic_K if r.analytic_K is not None else None for r in rows]
-    return xs, ys, errs, analytic
-
-
 def render_svg(table: ResultTable) -> str:
     if not table.rows:
         raise EntruncError("refusing to plot an empty result table")
     loss_mode = table.metadata.get("run_kind") == "loss"
     n = table.metadata.get("n", "?")
     kind = table.metadata.get("unitary_kind", "")
+    # One curve of (x, y, std, model) points per m for a sweep, one curve in all for a loss table.
+    curves: dict[int | None, list[tuple]] = {}
+    for r in table.rows:
+        if loss_mode:
+            model = None if r.analytic_K is None else r.m - r.analytic_K
+            point = (r.m, r.m - r.mean_K, r.std_K or 0.0, model)
+        else:
+            point = (r.s, r.mean_K, r.std_K or 0.0, r.analytic_K)
+        curves.setdefault(None if loss_mode else r.m, []).append(point)
+    points = [p for curve in curves.values() for p in curve]
+    all_y = [y + e for _, y, e, _ in points] + [y - e for _, y, e, _ in points]
+    axes = _Axes([x for x, *_ in points], all_y + [a for *_, a in points if a is not None])
+    scale = (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) / (axes.ymax - axes.ymin)
     body: list[str] = []
-    if loss_mode:
-        xs, ys, errs, analytic = _loss_view(table.rows)
-        all_x, all_y = list(xs), [y + e for y, e in zip(ys, errs)] + [y - e for y, e in zip(ys, errs)]
-        overlay = [a for a in analytic if a is not None]
-        axes = _Axes(all_x, all_y + overlay)
-        body += _series_svg([axes.x(v) for v in xs], [axes.y(v) for v in ys],
-                            [e / (axes.ymax - axes.ymin) * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) for e in errs],
-                            PALETTE[0])
-        if len(overlay) == len(analytic):
-            body += _dashed_svg([axes.x(v) for v in xs], [axes.y(v) for v in analytic], "black")
-        frame = _frame_svg(axes, "encoding dimension m", "entanglement loss",
-                           f"loss at s = m, n={n}")
-    else:
-        groups: dict[int, list[ResultRow]] = {}
-        for row in table.rows:
-            groups.setdefault(row.m, []).append(row)
-        all_x = [float(r.s) for r in table.rows]
-        all_y = [r.mean_K + (r.std_K or 0.0) for r in table.rows]
-        all_y += [r.mean_K - (r.std_K or 0.0) for r in table.rows]
-        all_y += [r.analytic_K for r in table.rows if r.analytic_K is not None]
-        axes = _Axes(all_x, all_y)
-        scale = (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) / (axes.ymax - axes.ymin)
-        for index, (m, rows) in enumerate(groups.items()):
-            color = PALETTE[index % len(PALETTE)]
-            xs = [axes.x(r.s) for r in rows]
-            ys = [axes.y(r.mean_K) for r in rows]
-            errs = [(r.std_K or 0.0) * scale for r in rows]
-            body += _series_svg(xs, ys, errs, color)
-            if all(r.analytic_K is not None for r in rows):
-                body += _dashed_svg(xs, [axes.y(r.analytic_K) for r in rows], color)
+    for index, (m, curve) in enumerate(curves.items()):
+        color = PALETTE[index % len(PALETTE)]
+        xs, ys, errs, model = zip(*curve)
+        xs = [axes.x(x) for x in xs]
+        body += _series_svg(xs, [axes.y(y) for y in ys], [e * scale for e in errs], color)
+        if None not in model:
+            body += _dashed_svg(xs, [axes.y(a) for a in model], "black" if loss_mode else color)
+        if not loss_mode:
             body.append(
                 f'<text x="{WIDTH - MARGIN_RIGHT - 6}" y="{MARGIN_TOP + 16 + 15 * index}" '
                 f'font-size="12" text-anchor="end" fill="{color}">m = {m}</text>'
             )
+    if loss_mode:
+        frame = _frame_svg(axes, "encoding dimension m", "entanglement loss",
+                           f"loss at s = m, n={n}")
+    else:
         frame = _frame_svg(axes, "truncation dimension s", "Schmidt number K",
                            f"{kind} sweep, n={n}")
     parts = [
@@ -194,6 +181,4 @@ def render_svg(table: ResultTable) -> str:
 
 def emit_plot(table: ResultTable, path) -> None:
     """Render the table to an SVG file at ``path``."""
-    svg = render_svg(table)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(svg)
+    _write_text(path, render_svg(table))

@@ -18,6 +18,7 @@ for uniform sweeps over m=2 alone).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,61 +79,59 @@ class ResultTable:
         )
 
 
-def _metadata(config_like, run_kind: str) -> dict[str, str]:
-    md = {
+def _table(run, run_kind: str, cells) -> ResultTable:
+    """Tabulate ``(m, s, mean_K, std_K, captured_weight)`` cells of ``run``.
+
+    ``run`` is the SweepConfig or EnsembleStats that produced the cells; this
+    is the one place that applies the column policy of the module docstring.
+    """
+    random = run.unitary_kind is UnitaryKind.RANDOM_CUE
+    uniform_m2 = not random and all(m == 2 for m in run.m_values)
+    metadata = {
         "version": __version__,
         "run_kind": run_kind,
-        "n": str(config_like.n),
-        "unitary_kind": config_like.unitary_kind.value,
+        "n": str(run.n),
+        "unitary_kind": run.unitary_kind.value,
     }
-    if config_like.unitary_kind is UnitaryKind.RANDOM_CUE:
-        md["realizations"] = str(config_like.realizations)
-        md["master_seed"] = str(config_like.master_seed)
-        md["independent_ab"] = "true" if config_like.independent_ab else "false"
-    return md
+    if random:
+        metadata["realizations"] = str(run.realizations)
+        metadata["master_seed"] = str(run.master_seed)
+        metadata["independent_ab"] = "true" if run.independent_ab else "false"
+    rows = []
+    for m, s, mean_K, std_K, weight in cells:
+        if random:
+            analytic = float(conjectured_schmidt_number(run.n, m, s))
+        elif uniform_m2:
+            analytic = 1.0 / analytic_purity_m2(run.n, s)
+        else:
+            analytic = None
+        rows.append(
+            ResultRow(
+                m=int(m),
+                s=int(s),
+                mean_K=float(mean_K),
+                std_K=float(std_K) if random else None,
+                analytic_K=analytic,
+                captured_weight=float(weight),
+            )
+        )
+    return ResultTable(metadata=metadata, rows=tuple(rows))
 
 
 def table_from_stats(stats: EnsembleStats) -> ResultTable:
     """Tabulate a grid sweep, attaching the applicable analytic K column."""
-    random = stats.unitary_kind is UnitaryKind.RANDOM_CUE
-    uniform_m2 = not random and all(m == 2 for m in stats.m_values)
-    rows = []
-    for i, m in enumerate(stats.m_values):
-        for j, s in enumerate(stats.s_values):
-            if random:
-                analytic = float(conjectured_schmidt_number(stats.n, m, s))
-            elif uniform_m2:
-                analytic = 1.0 / analytic_purity_m2(stats.n, s)
-            else:
-                analytic = None
-            rows.append(
-                ResultRow(
-                    m=int(m),
-                    s=int(s),
-                    mean_K=float(stats.mean_K[i, j]),
-                    std_K=float(stats.std_K[i, j]) if random else None,
-                    analytic_K=analytic,
-                    captured_weight=float(stats.mean_captured_weight[i, j]),
-                )
-            )
-    return ResultTable(metadata=_metadata(stats, "sweep"), rows=tuple(rows))
+    return _table(stats, "sweep", (
+        (m, s, stats.mean_K[i, j], stats.std_K[i, j], stats.mean_captured_weight[i, j])
+        for i, m in enumerate(stats.m_values)
+        for j, s in enumerate(stats.s_values)
+    ))
 
 
 def table_from_loss(points: list[LossPoint], config: SweepConfig) -> ResultTable:
     """Tabulate a loss sweep (s = m diagonal); loss Δ = m − mean_K is implicit."""
-    random = config.unitary_kind is UnitaryKind.RANDOM_CUE
-    rows = tuple(
-        ResultRow(
-            m=int(p.m),
-            s=int(p.m),
-            mean_K=float(p.mean_K),
-            std_K=float(p.std_loss) if random else None,
-            analytic_K=float(conjectured_schmidt_number(config.n, p.m, p.m)) if random else None,
-            captured_weight=float(p.mean_captured_weight),
-        )
-        for p in points
-    )
-    return ResultTable(metadata=_metadata(config, "loss"), rows=rows)
+    return _table(config, "loss", (
+        (p.m, p.m, p.mean_K, p.std_loss, p.mean_captured_weight) for p in points
+    ))
 
 
 def _format_cell(value) -> str:
@@ -165,9 +164,27 @@ def render_json(table: ResultTable) -> str:
 
 def emit_table(table: ResultTable, format: str, path) -> None:
     """Write the table to ``path`` as 'csv' or 'json'; refuses empty tables."""
-    text = render_table(table, format)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    _write_text(path, render_table(table, format))
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: a sibling temp file, then ``os.replace``.
+
+    The temp file is created with mode "x", so its permissions follow the
+    umask as a plain ``open`` would.  It is deleted on any failure, which
+    leaves an existing ``path`` with its old bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # Opened before the try: if "x" refuses an existing tmp, that file is not ours to delete.
+    handle = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def render_table(table: ResultTable, format: str) -> str:

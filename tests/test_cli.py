@@ -1,10 +1,20 @@
+import hashlib
+import os
 import shutil
 import subprocess
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from entrunc import SweepConfig, UnitaryKind, parse_table, run_ensemble, table_from_stats
+from entrunc import (
+    ResultRow,
+    ResultTable,
+    SweepConfig,
+    parse_table,
+    render_svg,
+    run_ensemble,
+    table_from_stats,
+)
 from entrunc.cli import EXIT_CONJECTURE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -35,6 +45,8 @@ def run_main(argv):
         (["sweep-uniform", "--n", "9", "--m", "1"], "error: --m"),
         (["loss", "--n", "9", "--m", "2"], "error: --m"),
         (["sweep-uniform", "--n", "9", "--m", "2", "--out", "no/such/dir/t.csv"], "error: --out"),
+        (["sweep-uniform", "--n", "9", "--m", "2", "--out", "."], "error: --out"),
+        (["plot", "t.csv", "--out", "."], "error: --out"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, needle):
@@ -108,6 +120,23 @@ def test_shared_unitary_flag_changes_results(tmp_path):
     assert outputs["independent"].metadata["independent_ab"] == "true"
     assert outputs["shared"].metadata["independent_ab"] == "false"
     assert outputs["independent"].rows[0].mean_K != outputs["shared"].rows[0].mean_K
+
+
+def test_failed_write_keeps_existing_target_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    table = make_table_file(tmp_path, "sweep")
+    svg = tmp_path / "plot.svg"
+    svg.write_text("old svg")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for argv in (["sweep-uniform", "--n", "9", "--m", "2", "--out", str(table)],
+                 ["plot", str(table), "--out", str(svg)]):
+        assert run_main(argv) == EXIT_USAGE
+        assert "error: cannot replace" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- conjecture check -----------------------------------------------------------
@@ -185,6 +214,35 @@ def test_plot_is_deterministic(tmp_path):
     assert run_main(["plot", str(table), "--out", str(a)]) == EXIT_OK
     assert run_main(["plot", str(table), "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+SWEEP_ROWS = [
+    # m, s, mean_K, std_K, analytic_K, captured_weight
+    (2, 3, 1.1732, 0.0813, 1.2241, 0.1402),
+    (2, 5, 1.4127, 0.1175, 1.4683, 0.2371),
+    (2, 7, 1.6389, 0.0952, 1.6912, 0.3318),
+    (5, 3, 1.9204, 0.2231, 1.8537, 0.1388),
+    (5, 5, 2.7716, 0.3109, 2.6921, 0.2402),
+    (5, 7, 3.3852, 0.2647, 3.3013, 0.3297),
+]
+LOSS_ROWS = [
+    (3, 3, 1.6271, 0.3314, 1.5938, 0.2417),
+    (5, 5, 2.3018, 0.4127, 2.2462, 0.3562),
+    (7, 7, 3.0443, 0.3876, 2.9731, 0.4719),
+]
+
+
+@pytest.mark.parametrize(
+    "run_kind,rows,digest",
+    [
+        ("sweep", SWEEP_ROWS, "d0161cfe7a92c37723c1ddec1861c39da1dae00869839acce7ce75e8c3f4211c"),
+        ("loss", LOSS_ROWS, "1a4c71449298975eaa245d1fdf93862aef390ed6e4517bf598aaaa86c55b0d5f"),
+    ],
+)
+def test_render_svg_bytes_are_frozen(run_kind, rows, digest):
+    metadata = {"run_kind": run_kind, "n": "9", "unitary_kind": "random"}
+    table = ResultTable(metadata=metadata, rows=tuple(ResultRow(*row) for row in rows))
+    assert hashlib.sha256(render_svg(table).encode()).hexdigest() == digest
 
 
 def test_plot_rejects_foreign_input(tmp_path, capsys):

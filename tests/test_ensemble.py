@@ -78,6 +78,22 @@ def test_shared_unitary_differs_from_independent():
     assert k_ind != k_shr
 
 
+def test_captured_weight_matches_exact_haar_moment():
+    # For independent Haar draws E|c_ij|^2 = 1/n^2 for every amplitude of the
+    # evolved state, so E[captured weight] = s^2/n^2 whatever m is.  The gate
+    # is a z-test at 4 sample standard errors (k fixed before the first run),
+    # so it holds for any engine that samples the same distribution.
+    n, m, s_values, realizations = 21, 5, (3, 7, 11), 300
+    base = RngStream(2024)
+    weights = np.array([
+        [w for _, _, w in run_cell(n, m, s_values, UnitaryKind.RANDOM_CUE, base.child(j))]
+        for j in range(realizations)
+    ])
+    exact = np.array(s_values) ** 2 / n**2
+    stderr = weights.std(axis=0, ddof=1) / np.sqrt(realizations)
+    assert np.all(np.abs(weights.mean(axis=0) - exact) <= 4 * stderr)
+
+
 # --- frozen reference ensemble ---------------------------------------------
 
 
