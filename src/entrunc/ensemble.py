@@ -1,18 +1,21 @@
 """Monte Carlo engine: (m, s) sweeps under uniform-spreading or Haar dynamics.
 
-A *realization* draws one pair of local unitaries, evolves the encoding
-state once, and truncates it to every requested window size (the windows are
-nested, so one evolution serves all s).  Ensembles aggregate the Schmidt
-number over realizations into per-(m, s) means and population standard
-deviations.
+A *realization* draws one pair of local unitaries and evaluates every
+requested m against it: each encoding state is evolved once and truncated to
+every requested window size (the windows are nested, so one evolution serves
+all s).  Ensembles aggregate the Schmidt number over realizations into
+per-(m, s) means and population standard deviations.
 
-Reproducibility contract: realization j of encoding dimension m uses the
-streams ``base.child(j, 0)`` and ``base.child(j, 1)`` for the two
-subsystems, realizations run one after another in index order, and
-statistics are reduced in fixed index order — so the output is bit-identical
-for a fixed master seed, numpy/BLAS build and BLAS thread count.  The
-``workers`` argument of :func:`run_ensemble` and :func:`loss_sweep` is
-accepted for compatibility and has no effect.
+Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
+and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
+drawn once, so cells of different m in one run are correlated.  Realizations
+run one after another in index order, and statistics are reduced in fixed
+index order — so the output is bit-identical for a fixed master seed,
+numpy/BLAS build and BLAS thread count, and :func:`run_cell` replays any
+realization of any m in isolation.  Runs log a progress line with rate and
+ETA at most every ``PROGRESS_EVERY_S`` seconds.  The ``workers`` argument of
+:func:`run_ensemble` and :func:`loss_sweep` is accepted for compatibility
+and has no effect.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
+from time import monotonic
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +44,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Least wall time between two progress lines, so runs shorter than this log none.
+PROGRESS_EVERY_S = 10.0
 
 
 class UnitaryKind(enum.Enum):
@@ -131,6 +138,34 @@ class LossPoint(NamedTuple):
     mean_captured_weight: float
 
 
+def _draw(
+    n: int, unitary_kind: UnitaryKind, stream: RngStream | None, independent_ab: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (U_A, U_B) pair of one realization; ``stream`` is unused for the uniform kind."""
+    if unitary_kind is UnitaryKind.UNIFORM_SPREADING:
+        u = uniform_spreading_unitary(n)
+        return u, u
+    if stream is None:
+        raise ValueError("a stream is required for random-unitary cells")
+    u_a = sample_cue(n, stream.child(0))
+    return u_a, sample_cue(n, stream.child(1)) if independent_ab else u_a
+
+
+def _windows(
+    dims: HilbertDims, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray
+) -> list[tuple[int, float, float]]:
+    """Evolve the encoding state of ``dims.m`` once and truncate to every s."""
+    evolved = evolve(make_initial_state(dims), u_a, u_b)
+    out = []
+    for s in s_values:
+        try:
+            block = truncate(evolved, s)
+        except DegenerateTruncationError as err:
+            raise DegenerateTruncationError(f"cell (m={dims.m}, s={s}): {err}") from err
+        out.append((s, schmidt_number(reduced_purity(block)), block.captured_weight))
+    return out
+
+
 def run_cell(
     n: int,
     m: int,
@@ -140,51 +175,43 @@ def run_cell(
     independent_ab: bool = True,
 ) -> list[tuple[int, float, float]]:
     """One realization: evolve once, truncate to every s; returns (s, K, weight) triples."""
-    dims = HilbertDims(n, m)
-    state = make_initial_state(dims)
-    if unitary_kind is UnitaryKind.UNIFORM_SPREADING:
-        u_a = u_b = uniform_spreading_unitary(n)
-    else:
-        if stream is None:
-            raise ValueError("a stream is required for random-unitary cells")
-        u_a = sample_cue(n, stream.child(0))
-        u_b = sample_cue(n, stream.child(1)) if independent_ab else u_a
-    evolved = evolve(state, u_a, u_b)
-    out = []
-    for s in s_values:
-        try:
-            block = truncate(evolved, s)
-        except DegenerateTruncationError as err:
-            raise DegenerateTruncationError(f"cell (m={m}, s={s}): {err}") from err
-        out.append((s, schmidt_number(reduced_purity(block)), block.captured_weight))
-    return out
+    return _windows(HilbertDims(n, m), s_values, *_draw(n, unitary_kind, stream, independent_ab))
 
 
 def _collect(
-    config: SweepConfig, m: int, s_values: tuple[int, ...]
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Realizations of one m reduced per window.
+    config: SweepConfig, windows: list[tuple[int, ...]]
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Realizations evaluated for every m and reduced per window.
 
-    Returns the number of realizations run (one, without a stream, for the
-    deterministic uniform kind) and arrays of length len(s_values) holding
+    ``windows[i]`` are the windows of ``config.m_values[i]``.  Realization j
+    draws its pair once (one draw, stream unused, for the deterministic
+    uniform kind) and evaluates every m against it.  Returns the number of
+    realizations run and, per m, arrays of length len(windows[i]) holding
     the mean K, the population std of K and the mean captured weight.
     """
-    if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING:
-        rows = [run_cell(config.n, m, s_values, config.unitary_kind)]
-    else:
-        base = RngStream(config.master_seed)
-        rows = []
-        for j in range(config.realizations):
+    draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations
+    encodings = [HilbertDims(config.n, m) for m in config.m_values]
+    k_values = [np.empty((draws, len(s_values))) for s_values in windows]
+    weights = [np.empty((draws, len(s_values))) for s_values in windows]
+    base = RngStream(config.master_seed)
+    start = reported = monotonic()
+    for j in range(draws):
+        u_a, u_b = _draw(config.n, config.unitary_kind, base.child(j), config.independent_ab)
+        for dims, s_values, ks, ws in zip(encodings, windows, k_values, weights):
             try:
-                rows.append(run_cell(config.n, m, s_values, config.unitary_kind,
-                                     base.child(j), config.independent_ab))
+                row = _windows(dims, s_values, u_a, u_b)
             except DegenerateTruncationError as err:
                 raise DegenerateTruncationError(f"realization {j}: {err}") from err
-    logger.debug("n=%d m=%d: %d realization(s) over %d window(s)",
-                 config.n, m, len(rows), len(s_values))
-    k_values = np.array([[k for _, k, _ in row] for row in rows])
-    weights = np.array([[w for _, _, w in row] for row in rows])
-    return len(rows), k_values.mean(axis=0), k_values.std(axis=0), weights.mean(axis=0)
+            ks[j], ws[j] = [k for _, k, _ in row], [w for _, _, w in row]
+        del u_a, u_b  # free this pair before the next draw allocates its own
+        now = monotonic()
+        if now - reported >= PROGRESS_EVERY_S:
+            reported, rate = now, (j + 1) / (now - start)
+            logger.info("realization %d/%d, %.2f/s, ETA %.0f s",
+                        j + 1, draws, rate, (draws - j - 1) / rate)
+    logger.debug("n=%d: %d realization(s) over %d m value(s)", config.n, draws, len(encodings))
+    return draws, [(ks.mean(axis=0), ks.std(axis=0), ws.mean(axis=0))
+                   for ks, ws in zip(k_values, weights)]
 
 
 def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
@@ -192,10 +219,8 @@ def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
 
     ``workers`` is accepted for compatibility and has no effect.
     """
-    shape = (len(config.m_values), len(config.s_values))
-    mean_k, std_k, mean_w = np.empty(shape), np.empty(shape), np.empty(shape)
-    for i, m in enumerate(config.m_values):
-        realizations, mean_k[i], std_k[i], mean_w[i] = _collect(config, m, config.s_values)
+    realizations, cells = _collect(config, [config.s_values] * len(config.m_values))
+    mean_k, std_k, mean_w = (np.array(column) for column in zip(*cells))
     return EnsembleStats(
         n=config.n,
         unitary_kind=config.unitary_kind,
@@ -221,16 +246,14 @@ def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:
         raise DimensionError(
             "loss sweeps require s_values == m_values (truncation onto the encoding subspace)"
         )
-    points = []
-    for m in config.m_values:
-        _, (mean_k,), (std_k,), (mean_w,) = _collect(config, m, (m,))
-        points.append(
-            LossPoint(
-                m=m,
-                mean_loss=float(m - mean_k),
-                std_loss=float(std_k),
-                mean_K=float(mean_k),
-                mean_captured_weight=float(mean_w),
-            )
+    _, cells = _collect(config, [(m,) for m in config.m_values])
+    return [
+        LossPoint(
+            m=m,
+            mean_loss=float(m - mean_k),
+            std_loss=float(std_k),
+            mean_K=float(mean_k),
+            mean_captured_weight=float(mean_w),
         )
-    return points
+        for m, ((mean_k,), (std_k,), (mean_w,)) in zip(config.m_values, cells)
+    ]

@@ -1,6 +1,10 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
 
+import entrunc.ensemble as ensemble
 from entrunc import (
     DimensionError,
     RngStream,
@@ -9,6 +13,8 @@ from entrunc import (
     loss_sweep,
     run_cell,
     run_ensemble,
+    sample_cue,
+    uniform_spreading_unitary,
 )
 
 from oracles import SCHMIDT_N201_S101, TINY_ENSEMBLE
@@ -160,6 +166,80 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.mean_K, threaded.mean_K)
     assert np.array_equal(serial.std_K, threaded.std_K)
     assert np.array_equal(serial.mean_captured_weight, threaded.mean_captured_weight)
+
+
+def _replayed(config, m, windows):
+    """(mean K, std K, mean weight) of one m, stacked from run_cell replays."""
+    draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations
+    rows = [
+        run_cell(config.n, m, windows, config.unitary_kind,
+                 RngStream(config.master_seed).child(j), config.independent_ab)
+        for j in range(draws)
+    ]
+    k = np.array([[k for _, k, _ in row] for row in rows])
+    w = np.array([[w for _, _, w in row] for row in rows])
+    return k.mean(axis=0), k.std(axis=0), w.mean(axis=0)
+
+
+@pytest.mark.parametrize("independent_ab", [True, False])
+@pytest.mark.parametrize("kind", list(UnitaryKind))
+def test_sweeps_equal_stacked_run_cell_replays(kind, independent_ab):
+    common = dict(n=11, unitary_kind=kind, realizations=6, master_seed=23,
+                  independent_ab=independent_ab)
+    config = SweepConfig(m_values=(2, 3, 7, 11), s_values=(3, 7, 11), **common)
+    stats = run_ensemble(config)
+    for i, m in enumerate(config.m_values):
+        mean_k, std_k, mean_w = _replayed(config, m, config.s_values)
+        assert np.array_equal(stats.mean_K[i], mean_k)
+        assert np.array_equal(stats.std_K[i], std_k)
+        assert np.array_equal(stats.mean_captured_weight[i], mean_w)
+    config = SweepConfig(m_values=(3, 7, 11), s_values=(3, 7, 11), **common)
+    for p in loss_sweep(config):
+        (mean_k,), (std_k,), (mean_w,) = _replayed(config, p.m, (p.m,))
+        assert (p.mean_K, p.std_loss, p.mean_captured_weight) == (mean_k, std_k, mean_w)
+        assert p.mean_loss == p.m - mean_k
+
+
+def test_each_realization_draws_its_pair_once(monkeypatch):
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(ensemble, "sample_cue", counted(sample_cue))
+    monkeypatch.setattr(ensemble, "uniform_spreading_unitary", counted(uniform_spreading_unitary))
+    realizations = 4
+    sweep = dict(n=9, m_values=(2, 3, 5), s_values=(3, 5, 9), realizations=realizations)
+    for kwargs, run, expected in [
+        (sweep, run_ensemble, 2 * realizations),
+        (dict(sweep, independent_ab=False), run_ensemble, realizations),
+        (dict(sweep, m_values=(3, 5, 7), s_values=(3, 5, 7)), loss_sweep, 2 * realizations),
+        (dict(sweep, unitary_kind=UnitaryKind.UNIFORM_SPREADING), run_ensemble, 1),
+    ]:
+        calls.clear()
+        run(SweepConfig(**kwargs))
+        assert len(calls) == expected, kwargs
+
+
+def test_progress_lines_leave_results_unchanged(monkeypatch, caplog):
+    config = SweepConfig(n=9, m_values=(2, 5), s_values=(3, 9), realizations=5, master_seed=3)
+    with caplog.at_level(logging.INFO, logger="entrunc.ensemble"):
+        quiet = run_ensemble(config)
+    assert not caplog.records  # a run shorter than PROGRESS_EVERY_S logs nothing
+    ticks = itertools.count(step=6.0)  # every clock read advances 6 s
+    monkeypatch.setattr(ensemble, "monotonic", lambda: next(ticks))
+    with caplog.at_level(logging.INFO, logger="entrunc.ensemble"):
+        logged = run_ensemble(config)
+    assert [r.getMessage() for r in caplog.records] == [
+        "realization 2/5, 0.17/s, ETA 18 s",
+        "realization 4/5, 0.17/s, ETA 6 s",
+    ]
+    assert np.array_equal(quiet.mean_K, logged.mean_K)
+    assert np.array_equal(quiet.std_K, logged.std_K)
+    assert np.array_equal(quiet.mean_captured_weight, logged.mean_captured_weight)
 
 
 def test_uniform_sweep_is_deterministic_single_shot():
