@@ -10,8 +10,9 @@ plot             render a saved result table (CSV/JSON) to SVG
 
 Exit codes: 0 success; 2 usage error (a bad flag value, a missing --out
 directory, an --out that is a directory or cannot be written, or a plot input
-that cannot be read or parsed); 3 numerical error (e.g. a truncation window
-capturing no state weight); 4 conjecture check failed the tolerance.
+that cannot be read or parsed, or is empty); 3 numerical failure only (a
+window capturing no state weight, a non-finite purity); 4 conjecture check
+failed the tolerance.
 
 The conjecture check reports every cell's relative deviation
 (analytic − mean)/mean and how many cells fall outside mean ± 2·std/√R.
@@ -30,7 +31,7 @@ import sys
 from dataclasses import dataclass
 
 from .ensemble import SweepConfig, UnitaryKind, loss_sweep, run_ensemble
-from .errors import DimensionError, EntruncError
+from .errors import DegenerateTruncationError, DimensionError, DomainError, EntruncError
 from .plotting import emit_plot
 from .results import (
     ResultRow,
@@ -234,12 +235,7 @@ def cmd_loss(parser, args) -> int:
 
 
 def cmd_plot(parser, args) -> int:
-    try:
-        table = parse_table(args.table)
-    except (ValueError, EntruncError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    emit_plot(table, args.out)
+    emit_plot(parse_table(args.table), args.out)
     logger.info("wrote %s", args.out)
     return EXIT_OK
 
@@ -299,12 +295,10 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(parser, args)
-    except EntruncError as err:
+    except (EntruncError, OSError) as err:  # OSError: reading a plot input or writing --out
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as err:  # reading a plot input or writing --out
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        numerical = isinstance(err, (DegenerateTruncationError, DomainError))
+        return EXIT_NUMERICAL if numerical else EXIT_USAGE
 
 
 if __name__ == "__main__":

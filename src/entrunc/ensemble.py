@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError
 from .pipeline import evolve, reduced_purity, schmidt_number, truncate
-from .statespace import HilbertDims, _check_odd, make_initial_state
+from .statespace import HilbertDims, _check_int, make_initial_state
 from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
 
 __all__ = [
@@ -62,10 +62,7 @@ def _check_values(name: str, values: tuple[int, ...], low: int, n: int, odd: boo
     if list(values) != sorted(set(values)):
         raise DimensionError(f"{name} must be strictly ascending, got {values}")
     for v in values:
-        if not low <= v <= n:
-            raise DimensionError(f"{name} entries must lie in [{low}, {n}], got {v}")
-        if odd and v % 2 == 0:
-            raise DimensionError(f"{name} entries must be odd, got {v}")
+        _check_int(name, v, low, n, odd)
 
 
 @dataclass(frozen=True)
@@ -88,13 +85,11 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "m_values", tuple(self.m_values))
         object.__setattr__(self, "s_values", tuple(self.s_values))
-        _check_odd(self.n, "n", 3)
+        _check_int("n", self.n, 3, odd=True)
         _check_values("m_values", self.m_values, 2, self.n, odd=False)
         _check_values("s_values", self.s_values, 3, self.n, odd=True)
-        if self.realizations < 1:
-            raise DimensionError(f"realizations must be >= 1, got {self.realizations}")
-        if self.master_seed < 0:
-            raise DimensionError(f"master_seed must be nonnegative, got {self.master_seed}")
+        _check_int("realizations", self.realizations, 1)
+        _check_int("master_seed", self.master_seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +153,7 @@ def _windows(
     evolved = evolve(make_initial_state(dims), u_a, u_b)
     out = []
     for s in s_values:
-        try:
-            block = truncate(evolved, s)
-        except DegenerateTruncationError as err:
-            raise DegenerateTruncationError(f"cell (m={dims.m}, s={s}): {err}") from err
+        block = truncate(evolved, s)
         out.append((s, schmidt_number(reduced_purity(block)), block.captured_weight))
     return out
 
@@ -175,7 +167,10 @@ def run_cell(
     independent_ab: bool = True,
 ) -> list[tuple[int, float, float]]:
     """One realization: evolve once, truncate to every s; returns (s, K, weight) triples."""
-    return _windows(HilbertDims(n, m), s_values, *_draw(n, unitary_kind, stream, independent_ab))
+    dims = HilbertDims(n, m)
+    for s in s_values:  # every window is checked before the pair is drawn
+        _check_int("s", s, 3, n, odd=True)
+    return _windows(dims, s_values, *_draw(n, unitary_kind, stream, independent_ab))
 
 
 def _collect(
@@ -201,7 +196,7 @@ def _collect(
             try:
                 row = _windows(dims, s_values, u_a, u_b)
             except DegenerateTruncationError as err:
-                raise DegenerateTruncationError(f"realization {j}: {err}") from err
+                raise DegenerateTruncationError(f"realization {j}, m={dims.m}: {err}") from err
             ks[j], ws[j] = [k for _, k, _ in row], [w for _, _, w in row]
         del u_a, u_b  # free this pair before the next draw allocates its own
         now = monotonic()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError, DomainError
-from .statespace import _check_odd
+from .statespace import _check_int
 
 __all__ = [
     "TruncatedState",
@@ -46,9 +46,7 @@ class TruncatedState:
     captured_weight: float
 
     def __post_init__(self) -> None:
-        s = self.entries.shape[0]
-        if self.entries.shape != (s, s):
-            raise DimensionError(f"entries must be square, got {self.entries.shape}")
+        _require_square(self.entries, "entries")
         if not 0.0 < self.captured_weight <= 1.0 + 1e-12:
             raise DomainError(f"captured_weight must lie in (0, 1], got {self.captured_weight}")
         norm = np.linalg.norm(self.entries)
@@ -88,9 +86,7 @@ def truncate(state: np.ndarray, s: int) -> TruncatedState:
     ``DEGENERATE_WEIGHT`` of the state's weight.
     """
     n = _require_square(state, "state")
-    _check_odd(s, "s", 3)
-    if s > n:
-        raise DimensionError(f"s must not exceed the state dimension {n}, got {s}")
+    _check_int("s", s, 3, n, odd=True)
     lo = (n - s) // 2
     block = state[lo:lo + s, lo:lo + s]
     weight = float(np.vdot(block, block).real)

@@ -197,19 +197,21 @@ def render_table(table: ResultTable, format: str) -> str:
     raise EntruncError(f"unknown output format {format!r} (expected 'csv' or 'json')")
 
 
-def _rows_from_lists(columns: list[str], records: list[list], path) -> tuple[ResultRow, ...]:
+def _rows_from_lists(columns: list[str], records: list[list]) -> tuple[ResultRow, ...]:
     unknown = set(columns) - set(CANONICAL_COLUMNS)
     if unknown:
         raise EntruncError(f"unknown result columns: {sorted(unknown)}")
     missing = [c for c in _REQUIRED_COLUMNS if c not in columns]
     if missing:
-        raise EntruncError(f"{path}: missing result columns {missing}")
+        raise EntruncError(f"missing result columns {missing}")
+    if not records:
+        raise EntruncError("no data rows")
     rows = []
     for number, record in enumerate(records, 1):
         data = {c: None if cell == "" else cell for c, cell in zip(columns, record)}
         if len(record) != len(columns) or any(data[c] is None for c in _REQUIRED_COLUMNS):
             raise EntruncError(
-                f"{path}: data row {number} must have {len(columns)} cells with"
+                f"data row {number} must have {len(columns)} cells with"
                 f" {', '.join(_REQUIRED_COLUMNS)} set, got {record}"
             )
         rows.append(
@@ -226,16 +228,26 @@ def _rows_from_lists(columns: list[str], records: list[list], path) -> tuple[Res
 
 
 def parse_table(path) -> ResultTable:
-    """Read a table back from a CSV or JSON file produced by this module."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Read a table back from a CSV or JSON file produced by this module.
+
+    Unparsable or empty content raises EntruncError naming ``path``.
+    """
+    try:
+        return _parse_text(Path(path).read_text(encoding="utf-8"))
+    except KeyError as err:
+        raise EntruncError(f"{path}: missing JSON field {err}") from err
+    except (EntruncError, TypeError, ValueError) as err:
+        raise EntruncError(f"{path}: {err}") from err
+
+
+def _parse_text(text: str) -> ResultTable:
+    if text.lstrip().startswith("{"):
         payload = json.loads(text)
         if payload.get("format") != FORMAT_NAME:
-            raise EntruncError(f"not an {FORMAT_NAME} JSON file: {path}")
+            raise EntruncError(f"not an {FORMAT_NAME} JSON file")
         return ResultTable(
             metadata=dict(payload["metadata"]),
-            rows=_rows_from_lists(list(payload["columns"]), payload["rows"], path),
+            rows=_rows_from_lists(list(payload["columns"]), payload["rows"]),
         )
     metadata: dict[str, str] = {}
     columns: list[str] = []
@@ -252,5 +264,5 @@ def parse_table(path) -> ResultTable:
             continue
         records.append(line.split(","))
     if not columns:
-        raise EntruncError(f"no column header found in {path}")
-    return ResultTable(metadata=metadata, rows=_rows_from_lists(columns, records, path))
+        raise EntruncError("no column header found")
+    return ResultTable(metadata=metadata, rows=_rows_from_lists(columns, records))

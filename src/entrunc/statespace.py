@@ -27,9 +27,15 @@ from .errors import DimensionError
 __all__ = ["HilbertDims", "parity_flag", "make_initial_state"]
 
 
-def _check_odd(value: int, name: str, minimum: int) -> None:
-    if value < minimum or value % 2 == 0:
-        raise DimensionError(f"{name} must be an odd integer >= {minimum}, got {value}")
+def _check_int(name: str, value: int, low: int, high: int | None = None, odd: bool = False) -> None:
+    """The one range, parity and sign check: ``low <= value <= high``, odd if ``odd``.
+
+    The DimensionError message starts with ``name``; the CLI maps that word to its flag.
+    """
+    if value < low or (high is not None and value > high) or (odd and value % 2 == 0):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        kind = "an odd integer" if odd else "an integer"
+        raise DimensionError(f"{name} must be {kind} {bounds}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,9 @@ class HilbertDims:
     def __post_init__(self) -> None:
         if self.s is None:
             object.__setattr__(self, "s", self.n)
-        _check_odd(self.n, "n", 3)
-        if not 2 <= self.m <= self.n:
-            raise DimensionError(f"m must satisfy 2 <= m <= n={self.n}, got {self.m}")
-        _check_odd(self.s, "s", 3)
-        if self.s > self.n:
-            raise DimensionError(f"s must not exceed n={self.n}, got {self.s}")
+        _check_int("n", self.n, 3, odd=True)
+        _check_int("m", self.m, 2, self.n)
+        _check_int("s", self.s, 3, self.n, odd=True)
 
     @property
     def half_width(self) -> int:

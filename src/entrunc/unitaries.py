@@ -4,8 +4,8 @@ Unitaries use the same level-to-offset convention as the state matrices
 (offset i = q + N for level q).  Random unitaries are drawn from the circular
 unitary ensemble (Haar measure) via QR decomposition of a complex Ginibre
 matrix with the standard diagonal phase correction, and are reproducible:
-the same :class:`RngStream` always yields the same matrix, independent of
-execution order or thread count.
+the same :class:`RngStream` always yields the same matrix for a fixed
+numpy/BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statespace import _check_odd
+from .statespace import _check_int
 
 __all__ = ["RngStream", "uniform_spreading_unitary", "sample_cue"]
 
@@ -37,8 +37,7 @@ class RngStream:
     key: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        _check_int("master_seed", self.master_seed, 0)
 
     def child(self, *indices: int) -> "RngStream":
         """Sub-stream addressed by appending ``indices`` to this stream's key."""
@@ -57,7 +56,7 @@ def uniform_spreading_unitary(n: int) -> np.ndarray:
     equal-magnitude superposition (|U_{l,k}|² = 1/n), i.e. the columns form a
     basis mutually unbiased with the computational one.
     """
-    _check_odd(n, "n", 3)
+    _check_int("n", n, 3, odd=True)
     levels = np.arange(-(n // 2), n // 2 + 1)
     return np.exp(2j * np.pi * np.outer(levels, levels) / n) / np.sqrt(n)
 
@@ -72,7 +71,7 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     that some |R_jj| underflows to 0 the draw is retried on the next
     sub-stream (logged), keeping the result a pure function of ``stream``.
     """
-    _check_odd(n, "n", 3)
+    _check_int("n", n, 3, odd=True)
     attempt = 0
     while True:
         source = stream if attempt == 0 else stream.child(attempt)

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from entrunc import (
@@ -15,7 +16,7 @@ from entrunc import (
     run_ensemble,
     table_from_stats,
 )
-from entrunc.cli import EXIT_CONJECTURE, EXIT_OK, EXIT_USAGE, main
+from entrunc.cli import EXIT_CONJECTURE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run_main(argv):
@@ -257,6 +258,15 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
                           ' "columns": ["m", "s", "mean_K", "captured_weight"], "rows": [[3, 3, 1.0]]}',
         "broken.json": "{",
         "missing.csv": None,
+        "no_metadata.json": '{"format": "entrunc-result"}',
+        "int_rows.json": '{"format": "entrunc-result", "metadata": {},'
+                         ' "columns": ["m", "s", "mean_K", "captured_weight"], "rows": 5}',
+        "null_columns.json": '{"format": "entrunc-result", "metadata": {},'
+                             ' "columns": null, "rows": []}',
+        "list_cell.json": '{"format": "entrunc-result", "metadata": {},'
+                          ' "columns": ["m", "s", "mean_K", "captured_weight"],'
+                          ' "rows": [[[1], 3, 1.0, 0.5]]}',
+        "header_only.csv": "m,s,mean_K,captured_weight\n",
     }
     for name, text in inputs.items():
         path = tmp_path / name
@@ -264,7 +274,20 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
             path.write_text(text)
         code = run_main(["plot", str(path), "--out", str(tmp_path / "x.svg")])
         assert code == EXIT_USAGE, name
-        assert "error:" in capsys.readouterr().err, name
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and name in err, (name, err)
+        assert "Traceback" not in err, name
+
+
+def test_degenerate_window_exits_3(monkeypatch, capsys):
+    # Both unitaries move the m=3 encoding levels out of the central s=3 window.
+    swap = np.eye(9, dtype=complex)[:, [3, 4, 5, 0, 1, 2, 6, 7, 8]]
+    monkeypatch.setattr("entrunc.ensemble.sample_cue", lambda n, stream: swap)
+    argv = ["sweep-random", "--n", "9", "--m", "3", "--s", "3", "--realizations", "2"]
+    assert run_main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("error: realization 0, m=3: truncation window s=3 captures weight") == 1
+    assert "Traceback" not in err
 
 
 # --- installed entry point --------------------------------------------------------

@@ -77,6 +77,19 @@ def test_random_cell_requires_stream():
         run_cell(9, 3, (3,), UnitaryKind.RANDOM_CUE)
 
 
+def test_run_cell_checks_windows_before_drawing(monkeypatch):
+    draws = []
+
+    def counting_cue(n, stream):
+        draws.append(stream)
+        return sample_cue(n, stream)
+
+    monkeypatch.setattr(ensemble, "sample_cue", counting_cue)
+    with pytest.raises(DimensionError):
+        run_cell(9, 3, (3, 4), UnitaryKind.RANDOM_CUE, RngStream(1))
+    assert draws == []
+
+
 def test_shared_unitary_differs_from_independent():
     base = RngStream(11)
     (_, k_ind, _), = run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, base, independent_ab=True)

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from entrunc import DimensionError, HilbertDims, make_initial_state, parity_flag
+from entrunc import (
+    DimensionError,
+    HilbertDims,
+    RngStream,
+    SweepConfig,
+    make_initial_state,
+    parity_flag,
+    sample_cue,
+    truncate,
+)
 
 
 @pytest.mark.parametrize("m,flag", [(2, 1.0), (3, 0.0), (4, 1.0), (201, 0.0)])
@@ -79,3 +88,21 @@ def test_dims_defaults_and_half_widths():
 def test_dims_validation(n, m, s):
     with pytest.raises(DimensionError):
         HilbertDims(n, m, s)
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("m", lambda: HilbertDims(9, 12)),
+        ("s", lambda: HilbertDims(9, 3, 11)),
+        ("realizations", lambda: SweepConfig(n=9, m_values=(3,), s_values=(3,), realizations=0)),
+        ("master_seed", lambda: RngStream(-1)),
+        ("s", lambda: truncate(make_initial_state(HilbertDims(9, 3)), 4)),
+        ("n", lambda: sample_cue(8, RngStream(0))),
+    ],
+    ids=["HilbertDims-m", "HilbertDims-s", "SweepConfig", "RngStream", "truncate", "sample_cue"],
+)
+def test_integer_checks_name_their_parameter(name, build):
+    with pytest.raises(DimensionError) as info:
+        build()
+    assert str(info.value).startswith(f"{name} must be ")

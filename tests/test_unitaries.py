@@ -65,15 +65,17 @@ def test_stream_children_extend_key():
 def test_haar_first_moment():
     n, samples = HAAR_MOMENT["n"], HAAR_MOMENT["samples"]
     base = RngStream(HAAR_MOMENT["master_seed"])
-    acc = {entry: 0.0 for entry in HAAR_MOMENT["entries"]}
+    acc = {entry: np.zeros(2) for entry in HAAR_MOMENT["entries"]}
     for j in range(samples):
         u = sample_cue(n, base.child(j, 0))
         for entry in acc:
-            acc[entry] += abs(u[entry]) ** 2
-    # |U_ij|² has mean 1/n and variance (n−1)/(n²(n+1)) under the Haar measure
-    sigma = np.sqrt((n - 1) / (n**2 * (n + 1)) / samples)
+            acc[entry] += abs(u[entry]) ** np.array([2, 4])
+    # Haar moments of one entry: E|U_ij|² = 1/n, E|U_ij|⁴ = 2/(n(n+1)) (so
+    # Var|U_ij|² = (n−1)/(n²(n+1))) and E|U_ij|⁸ = 24/(n(n+1)(n+2)(n+3)).
+    fourth, eighth = 2 / (n * (n + 1)), 24 / (n * (n + 1) * (n + 2) * (n + 3))
+    sigma = np.sqrt(np.array([fourth - 1 / n**2, eighth - fourth**2]) / samples)
     for entry, total in acc.items():
-        assert abs(total / samples - 1 / n) < 3 * sigma
+        assert np.all(np.abs(total / samples - [1 / n, fourth]) < 3 * sigma), entry
 
 
 def test_degenerate_qr_draw_retries_next_substream(monkeypatch, caplog):
