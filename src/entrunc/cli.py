@@ -8,11 +8,11 @@ check-conjecture compare a random ensemble against the additive purity model
 loss             entanglement loss at s = m over a grid of odd m
 plot             render a saved result table (CSV/JSON) to SVG
 
-Exit codes: 0 success; 2 usage error (a bad flag value, a missing --out
-directory, an --out that is a directory or cannot be written, or a plot input
-that cannot be read or parsed, or is empty); 3 numerical failure only (a
-window capturing no state weight, a non-finite purity); 4 conjecture check
-failed the tolerance.
+Exit codes: 0 success; 2 usage error (a bad flag value, an --out that names
+no file, a missing --out directory, an --out that is a directory or cannot be
+written, or a plot input that cannot be read or parsed, or is empty); 3
+numerical failure only (a window capturing no state weight, a non-finite
+purity); 4 conjecture check failed the tolerance.
 
 The conjecture check reports every cell's relative deviation
 (analytic − mean)/mean and how many cells fall outside mean ± 2·std/√R.
@@ -286,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.out is not None:
+        if not os.path.basename(args.out):
+            parser.error(f"--out names no file: {args.out!r}")
         out_dir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(out_dir):
             parser.error(f"--out directory does not exist: {out_dir}")

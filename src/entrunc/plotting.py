@@ -61,32 +61,30 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _series_svg(xs, ys, errs, color: str) -> list[str]:
-    parts = []
-    for x, y, err in zip(xs, ys, errs):
-        if err:
-            parts.append(
-                f'<line x1="{_px(x)}" y1="{_px(y - err)}" x2="{_px(x)}" y2="{_px(y + err)}" '
-                f'stroke="{color}" stroke-width="1"/>'
-            )
-    if len(xs) > 1:
-        points = " ".join(f"{_px(x)},{_px(y)}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-    for x, y in zip(xs, ys):
-        parts.append(f'<circle cx="{_px(x)}" cy="{_px(y)}" r="3" fill="{color}"/>')
-    return parts
+def _line(x1, y1, x2, y2, color: str = "black") -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{color}" stroke-width="1"/>')
 
 
-def _dashed_svg(xs, ys, color: str) -> list[str]:
+def _text(x, y, size: int, anchor: str, body: str, extra: str = "") -> str:
+    return f'<text x="{x}" y="{y}" font-size="{size}" text-anchor="{anchor}"{extra}>{body}</text>'
+
+
+def _polyline(xs, ys, color: str, style: str) -> list[str]:
+    """One polyline through the points, or none for fewer than 2 points."""
     if len(xs) < 2:
         return []
     points = " ".join(f"{_px(x)},{_px(y)}" for x, y in zip(xs, ys))
-    return [
-        f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1" '
-        'stroke-dasharray="5,3"/>'
-    ]
+    return [f'<polyline points="{points}" fill="none" stroke="{color}" {style}/>']
+
+
+def _series_svg(xs, ys, errs, color: str) -> list[str]:
+    parts = [_line(_px(x), _px(y - err), _px(x), _px(y + err), color)
+             for x, y, err in zip(xs, ys, errs) if err]
+    parts += _polyline(xs, ys, color, 'stroke-width="1.5"')
+    for x, y in zip(xs, ys):
+        parts.append(f'<circle cx="{_px(x)}" cy="{_px(y)}" r="3" fill="{color}"/>')
+    return parts
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -99,35 +97,22 @@ def _frame_svg(axes: _Axes, x_label: str, y_label: str, title: str) -> list[str]
     y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
     parts = [
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>',
+        _line(x0, y0, x1, y0),
+        _line(x0, y0, x0, y1),
     ]
     for v in _ticks(axes.xmin, axes.xmax):
-        px = axes.x(v)
-        parts.append(
-            f'<line x1="{_px(px)}" y1="{y0}" x2="{_px(px)}" y2="{y0 + 5}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_px(px)}" y="{y0 + 18}" font-size="11" text-anchor="middle">{v:.4g}</text>'
-        )
+        px = _px(axes.x(v))
+        parts += [_line(px, y0, px, y0 + 5), _text(px, y0 + 18, 11, "middle", f"{v:.4g}")]
     for v in _ticks(axes.ymin, axes.ymax):
         py = axes.y(v)
-        parts.append(
-            f'<line x1="{x0 - 5}" y1="{_px(py)}" x2="{x0}" y2="{_px(py)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8}" y="{_px(py + 4)}" font-size="11" text-anchor="end">{v:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" font-size="13" text-anchor="middle">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(y0 + y1) // 2}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(y0 + y1) // 2})">{y_label}</text>'
-    )
-    parts.append(
-        f'<text x="{(x0 + x1) // 2}" y="18" font-size="13" text-anchor="middle">{title}</text>'
-    )
+        parts += [_line(x0 - 5, _px(py), x0, _px(py)),
+                  _text(x0 - 8, _px(py + 4), 11, "end", f"{v:.4g}")]
+    mid_x, mid_y = (x0 + x1) // 2, (y0 + y1) // 2
+    parts += [
+        _text(mid_x, HEIGHT - 10, 13, "middle", x_label),
+        _text(16, mid_y, 13, "middle", y_label, f' transform="rotate(-90 16 {mid_y})"'),
+        _text(mid_x, 18, 13, "middle", title),
+    ]
     return parts
 
 
@@ -157,12 +142,11 @@ def render_svg(table: ResultTable) -> str:
         xs = [axes.x(x) for x in xs]
         body += _series_svg(xs, [axes.y(y) for y in ys], [e * scale for e in errs], color)
         if None not in model:
-            body += _dashed_svg(xs, [axes.y(a) for a in model], "black" if loss_mode else color)
+            body += _polyline(xs, [axes.y(a) for a in model], "black" if loss_mode else color,
+                              'stroke-width="1" stroke-dasharray="5,3"')
         if not loss_mode:
-            body.append(
-                f'<text x="{WIDTH - MARGIN_RIGHT - 6}" y="{MARGIN_TOP + 16 + 15 * index}" '
-                f'font-size="12" text-anchor="end" fill="{color}">m = {m}</text>'
-            )
+            body.append(_text(WIDTH - MARGIN_RIGHT - 6, MARGIN_TOP + 16 + 15 * index, 12, "end",
+                              f"m = {m}", f' fill="{color}"'))
     if loss_mode:
         frame = _frame_svg(axes, "encoding dimension m", "entanglement loss",
                            f"loss at s = m, n={n}")

@@ -13,11 +13,18 @@ only for random-ensemble runs (deterministic sweeps have no spread) and the
 analytic_K column only when a closed form applies to the run kind (the
 additive purity model for random sweeps and loss runs, the exact m=2 formula
 for uniform sweeps over m=2 alone).
+
+Every parsed cell goes through ``_cell``, which accepts exactly what the
+writer emits: an integer for m and s, a finite number for every other
+column, and an empty cell (CSV) or null (JSON) for an absent optional value.
+It converts the cell's text, so a JSON ``3.0`` or ``true`` for m is refused
+just as the same CSV text is.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +45,9 @@ __all__ = [
     "parse_table",
 ]
 
-CANONICAL_COLUMNS = ("m", "s", "mean_K", "std_K", "analytic_K", "captured_weight")
-_REQUIRED_COLUMNS = ("m", "s", "mean_K", "captured_weight")
+_OPTIONAL_COLUMNS = ("std_K", "analytic_K")
+CANONICAL_COLUMNS = ("m", "s", "mean_K", *_OPTIONAL_COLUMNS, "captured_weight")
+_REQUIRED_COLUMNS = tuple(c for c in CANONICAL_COLUMNS if c not in _OPTIONAL_COLUMNS)
 FORMAT_NAME = "entrunc-result"
 
 
@@ -70,12 +78,11 @@ class ResultTable:
 
     @property
     def columns(self) -> tuple[str, ...]:
-        has_std = any(r.std_K is not None for r in self.rows)
-        has_analytic = any(r.analytic_K is not None for r in self.rows)
+        """The canonical columns, less each optional one that no row sets."""
         return tuple(
             c
             for c in CANONICAL_COLUMNS
-            if (c != "std_K" or has_std) and (c != "analytic_K" or has_analytic)
+            if c not in _OPTIONAL_COLUMNS or any(getattr(r, c) is not None for r in self.rows)
         )
 
 
@@ -197,6 +204,16 @@ def render_table(table: ResultTable, format: str) -> str:
     raise EntruncError(f"unknown output format {format!r} (expected 'csv' or 'json')")
 
 
+def _cell(column: str, cell):
+    """Read one cell of ``column`` back from its text; an empty or null cell is None."""
+    if cell in ("", None):
+        return None
+    text = str(cell)
+    if not math.isfinite(float(text)):
+        raise EntruncError(f"{column} must be a finite number, got {text}")
+    return int(text) if column in ("m", "s") else float(text)
+
+
 def _rows_from_lists(columns: list[str], records: list[list]) -> tuple[ResultRow, ...]:
     unknown = set(columns) - set(CANONICAL_COLUMNS)
     if unknown:
@@ -208,22 +225,13 @@ def _rows_from_lists(columns: list[str], records: list[list]) -> tuple[ResultRow
         raise EntruncError("no data rows")
     rows = []
     for number, record in enumerate(records, 1):
-        data = {c: None if cell == "" else cell for c, cell in zip(columns, record)}
-        if len(record) != len(columns) or any(data[c] is None for c in _REQUIRED_COLUMNS):
+        data = dict(zip(columns, record))
+        if len(record) != len(columns) or any(data[c] in ("", None) for c in _REQUIRED_COLUMNS):
             raise EntruncError(
                 f"data row {number} must have {len(columns)} cells with"
                 f" {', '.join(_REQUIRED_COLUMNS)} set, got {record}"
             )
-        rows.append(
-            ResultRow(
-                m=int(data["m"]),
-                s=int(data["s"]),
-                mean_K=float(data["mean_K"]),
-                std_K=None if data.get("std_K") is None else float(data["std_K"]),
-                analytic_K=None if data.get("analytic_K") is None else float(data["analytic_K"]),
-                captured_weight=float(data["captured_weight"]),
-            )
-        )
+        rows.append(ResultRow(**{c: _cell(c, data.get(c)) for c in CANONICAL_COLUMNS}))
     return tuple(rows)
 
 

@@ -48,9 +48,13 @@ def run_main(argv):
         (["sweep-uniform", "--n", "9", "--m", "2", "--out", "no/such/dir/t.csv"], "error: --out"),
         (["sweep-uniform", "--n", "9", "--m", "2", "--out", "."], "error: --out"),
         (["plot", "t.csv", "--out", "."], "error: --out"),
+        (["sweep-uniform", "--n", "9", "--m", "2", "--out", ""], "error: --out"),
+        (["sweep-uniform", "--n", "9", "--m", "2", "--out", "new/"], "error: --out"),
+        (["plot", "t.csv", "--out", ""], "error: --out"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv, needle):
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
+    monkeypatch.chdir(tmp_path)  # a case that wrongly succeeds writes here, not in the checkout
     with pytest.raises(SystemExit) as info:
         run_main(argv)
     assert info.value.code == 2
@@ -238,6 +242,10 @@ LOSS_ROWS = [
     [
         ("sweep", SWEEP_ROWS, "d0161cfe7a92c37723c1ddec1861c39da1dae00869839acce7ce75e8c3f4211c"),
         ("loss", LOSS_ROWS, "1a4c71449298975eaa245d1fdf93862aef390ed6e4517bf598aaaa86c55b0d5f"),
+        # No error bars, no model line, and a single-point m=5 curve.
+        ("sweep", [(3, 3, 1.21, None, None, 0.11), (3, 5, 1.74, None, None, 0.27),
+                   (3, 7, 2.05, None, None, 0.52), (5, 5, 2.31, None, None, 0.30)],
+         "787bc971d6af068042bb132b8237a5c274537f8bce266d35d35186c66b381361"),
     ],
 )
 def test_render_svg_bytes_are_frozen(run_kind, rows, digest):
@@ -247,6 +255,8 @@ def test_render_svg_bytes_are_frozen(run_kind, rows, digest):
 
 
 def test_plot_rejects_foreign_input(tmp_path, capsys):
+    one_row = ('{"format": "entrunc-result", "metadata": {},'
+               ' "columns": ["m", "s", "mean_K", "captured_weight"], "rows": [[%s]]}')
     inputs = {
         "bogus.csv": "a,b\n1,2\n",
         "short_row.csv": "m,s,mean_K,captured_weight\n3,3,1.0\n",
@@ -267,6 +277,15 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
                           ' "columns": ["m", "s", "mean_K", "captured_weight"],'
                           ' "rows": [[[1], 3, 1.0, 0.5]]}',
         "header_only.csv": "m,s,mean_K,captured_weight\n",
+        "fractional_m.json": one_row % "3.7, 3, 1.0, 0.5",
+        "bool_m.json": one_row % "true, 3, 1.0, 0.5",
+        "float_m.json": one_row % "3.0, 3, 1.0, 0.5",
+        "bool_mean.json": one_row % "3, 3, true, 0.5",
+        "nan_mean.json": one_row % "3, 3, NaN, 0.5",
+        "huge_mean.json": one_row % f"3, 3, {'9' * 401}, 0.5",
+        "huge_m.json": one_row % f"{'9' * 401}, 3, 1.0, 0.5",
+        "nan_mean.csv": "m,s,mean_K,captured_weight\n3,3,nan,0.5\n",
+        "inf_weight.csv": "m,s,mean_K,captured_weight\n3,3,1.0,1e400\n",
     }
     for name, text in inputs.items():
         path = tmp_path / name
