@@ -10,7 +10,8 @@ plot             render a saved result table (CSV/JSON) to SVG
 
 Exit codes: 0 success; 2 usage error (a bad flag value, an --out that names
 no file, a missing --out directory, an --out that is a directory or cannot be
-written, or a plot input that cannot be read or parsed, or is empty); 3
+written, or a plot input that cannot be read or parsed, is empty, names a
+column twice or holds a row that breaks the dimension rules); 3
 numerical failure only (a window capturing no state weight, a non-finite
 purity); 4 conjecture check failed the tolerance.
 
@@ -144,8 +145,8 @@ def _int_list(parser: argparse.ArgumentParser, flag: str, text: str) -> tuple[in
     return values
 
 
-#: Flag that sets each SweepConfig field; the field name starts every DimensionError message.
-_FLAGS = {"n": "--n", "m_values": "--m", "s_values": "--s",
+#: Flag of each SweepConfig field and dimension; that name starts every DimensionError message.
+_FLAGS = {"n": "--n", "m": "--m", "s": "--s", "m_values": "--m", "s_values": "--s",
           "realizations": "--realizations", "master_seed": "--seed"}
 
 
@@ -170,7 +171,7 @@ def _config(parser, args) -> SweepConfig:
                            unitary_kind=args.kind, **draws)
     except DimensionError as err:
         field, _, rest = str(err).partition(" ")
-        flag = "--m" if loss and field == "s_values" else _FLAGS[field]
+        flag = "--m" if loss and field in ("s", "s_values") else _FLAGS[field]
         parser.error(f"{flag} {rest}")
 
 

@@ -56,13 +56,12 @@ class UnitaryKind(enum.Enum):
     RANDOM_CUE = "random"
 
 
-def _check_values(name: str, values: tuple[int, ...], low: int, n: int, odd: bool) -> None:
+def _check_values(name: str, values: tuple[int, ...]) -> None:
+    """The list rules of a sweep axis; each entry's bounds are ``HilbertDims``'s."""
     if not values:
         raise DimensionError(f"{name} must not be empty")
     if list(values) != sorted(set(values)):
         raise DimensionError(f"{name} must be strictly ascending, got {values}")
-    for v in values:
-        _check_int(name, v, low, n, odd)
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,12 @@ class SweepConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "m_values", tuple(self.m_values))
         object.__setattr__(self, "s_values", tuple(self.s_values))
-        _check_int("n", self.n, 3, odd=True)
-        _check_values("m_values", self.m_values, 2, self.n, odd=False)
-        _check_values("s_values", self.s_values, 3, self.n, odd=True)
+        _check_values("m_values", self.m_values)
+        for m in self.m_values:  # checks n first, then each m
+            HilbertDims(self.n, m)
+        _check_values("s_values", self.s_values)
+        for s in self.s_values:  # every m is valid by now, and the s rules do not depend on m
+            HilbertDims(self.n, self.m_values[0], s)
         _check_int("realizations", self.realizations, 1)
         _check_int("master_seed", self.master_seed, 0)
 
@@ -167,10 +169,9 @@ def run_cell(
     independent_ab: bool = True,
 ) -> list[tuple[int, float, float]]:
     """One realization: evolve once, truncate to every s; returns (s, K, weight) triples."""
-    dims = HilbertDims(n, m)
-    for s in s_values:  # every window is checked before the pair is drawn
-        _check_int("s", s, 3, n, odd=True)
-    return _windows(dims, s_values, *_draw(n, unitary_kind, stream, independent_ab))
+    for s in s_values:  # n, m and every window are checked before the pair is drawn
+        HilbertDims(n, m, s)
+    return _windows(HilbertDims(n, m), s_values, *_draw(n, unitary_kind, stream, independent_ab))
 
 
 def _collect(

@@ -18,7 +18,10 @@ Every parsed cell goes through ``_cell``, which accepts exactly what the
 writer emits: an integer for m and s, a finite number for every other
 column, and an empty cell (CSV) or null (JSON) for an absent optional value.
 It converts the cell's text, so a JSON ``3.0`` or ``true`` for m is refused
-just as the same CSV text is.
+just as the same CSV text is.  A header that names a column twice is
+refused, and every parsed row must obey the writer's dimension rules, which
+``HilbertDims`` states: m >= 2 and odd s >= 3, both at most the metadata's
+n when it gives one.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from . import __version__
 from .analytics import analytic_purity_m2, conjectured_schmidt_number
 from .ensemble import EnsembleStats, LossPoint, SweepConfig, UnitaryKind
 from .errors import EntruncError
+from .statespace import HilbertDims
 
 __all__ = [
     "ResultRow",
@@ -214,7 +218,15 @@ def _cell(column: str, cell):
     return int(text) if column in ("m", "s") else float(text)
 
 
-def _rows_from_lists(columns: list[str], records: list[list]) -> tuple[ResultRow, ...]:
+def _read_table(metadata: dict[str, str], columns: list[str], records: list[list]) -> ResultTable:
+    """The table of ``records`` under ``columns``, each row checked as the writer guarantees.
+
+    Cells go through ``_cell`` and dimensions through ``HilbertDims``, with
+    ``n`` from the metadata.  Without an ``n`` the odd ``2·max(m, s, 1) + 1``
+    stands in: it caps neither m nor s, so only m >= 2 and odd s >= 3 apply.
+    """
+    if len(set(columns)) < len(columns):
+        raise EntruncError(f"a result column is named twice: {columns}")
     unknown = set(columns) - set(CANONICAL_COLUMNS)
     if unknown:
         raise EntruncError(f"unknown result columns: {sorted(unknown)}")
@@ -223,6 +235,7 @@ def _rows_from_lists(columns: list[str], records: list[list]) -> tuple[ResultRow
         raise EntruncError(f"missing result columns {missing}")
     if not records:
         raise EntruncError("no data rows")
+    n = int(str(metadata["n"])) if "n" in metadata else None
     rows = []
     for number, record in enumerate(records, 1):
         data = dict(zip(columns, record))
@@ -231,14 +244,17 @@ def _rows_from_lists(columns: list[str], records: list[list]) -> tuple[ResultRow
                 f"data row {number} must have {len(columns)} cells with"
                 f" {', '.join(_REQUIRED_COLUMNS)} set, got {record}"
             )
-        rows.append(ResultRow(**{c: _cell(c, data.get(c)) for c in CANONICAL_COLUMNS}))
-    return tuple(rows)
+        row = ResultRow(**{c: _cell(c, data.get(c)) for c in CANONICAL_COLUMNS})
+        HilbertDims(2 * max(row.m, row.s, 1) + 1 if n is None else n, row.m, row.s)
+        rows.append(row)
+    return ResultTable(metadata=metadata, rows=tuple(rows))
 
 
 def parse_table(path) -> ResultTable:
     """Read a table back from a CSV or JSON file produced by this module.
 
-    Unparsable or empty content raises EntruncError naming ``path``.
+    Unparsable or empty content, and rows that break the writer's dimension
+    rules (see ``HilbertDims``), raise EntruncError naming ``path``.
     """
     try:
         return _parse_text(Path(path).read_text(encoding="utf-8"))
@@ -253,10 +269,7 @@ def _parse_text(text: str) -> ResultTable:
         payload = json.loads(text)
         if payload.get("format") != FORMAT_NAME:
             raise EntruncError(f"not an {FORMAT_NAME} JSON file")
-        return ResultTable(
-            metadata=dict(payload["metadata"]),
-            rows=_rows_from_lists(list(payload["columns"]), payload["rows"]),
-        )
+        return _read_table(dict(payload["metadata"]), list(payload["columns"]), payload["rows"])
     metadata: dict[str, str] = {}
     columns: list[str] = []
     records = []
@@ -273,4 +286,4 @@ def _parse_text(text: str) -> ResultTable:
         records.append(line.split(","))
     if not columns:
         raise EntruncError("no column header found")
-    return ResultTable(metadata=metadata, rows=_rows_from_lists(columns, records))
+    return _read_table(metadata, columns, records)

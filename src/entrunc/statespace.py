@@ -18,6 +18,7 @@ entries of magnitude 1/√m remain.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,15 @@ __all__ = ["HilbertDims", "parity_flag", "make_initial_state"]
 
 
 def _check_int(name: str, value: int, low: int, high: int | None = None, odd: bool = False) -> None:
-    """The one range, parity and sign check: ``low <= value <= high``, odd if ``odd``.
+    """The one integer, range, parity and sign check: ``low <= value <= high``, odd if ``odd``.
 
-    The DimensionError message starts with ``name``; the CLI maps that word to its flag.
+    Any ``numbers.Integral`` passes the type test (numpy integers included; a
+    float such as ``9.0`` does not).  The DimensionError message starts with
+    ``name``; the CLI maps that word to its flag.
     """
-    if value < low or (high is not None and value > high) or (odd and value % 2 == 0):
+    # ``int`` first: the ABC check is many times slower, and ``truncate`` runs this per window.
+    if (not isinstance(value, (int, numbers.Integral)) or value < low
+            or (high is not None and value > high) or (odd and value % 2 == 0)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         kind = "an odd integer" if odd else "an integer"
         raise DimensionError(f"{name} must be {kind} {bounds}, got {value}")
@@ -40,7 +45,10 @@ def _check_int(name: str, value: int, low: int, high: int | None = None, odd: bo
 
 @dataclass(frozen=True)
 class HilbertDims:
-    """Validated dimension triple (n, m, s).
+    """Validated dimension triple (n, m, s): the one statement of the dimension rules.
+
+    Sweep configurations, single-realization replays and parsed result
+    tables all check their dimensions by building one of these.
 
     n : odd total local dimension, n = 2N + 1
     m : encoding dimension, 2 <= m <= n

@@ -286,6 +286,9 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
         "huge_m.json": one_row % f"{'9' * 401}, 3, 1.0, 0.5",
         "nan_mean.csv": "m,s,mean_K,captured_weight\n3,3,nan,0.5\n",
         "inf_weight.csv": "m,s,mean_K,captured_weight\n3,3,1.0,1e400\n",
+        "dup_column.csv": "m,m,s,mean_K,captured_weight\n3,5,3,1.0,0.5\n",
+        "neg_m.csv": "# run_kind=sweep\nm,s,mean_K,captured_weight\n-4,2,1.0,0.5\n",
+        "s_over_n.csv": "# n=9\nm,s,mean_K,captured_weight\n3,11,1.0,0.5\n",
     }
     for name, text in inputs.items():
         path = tmp_path / name

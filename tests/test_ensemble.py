@@ -35,6 +35,8 @@ from oracles import SCHMIDT_N201_S101, TINY_ENSEMBLE
         dict(n=21, m_values=(3,), s_values=(23,)),
         dict(n=21, m_values=(3,), s_values=(3,), realizations=0),
         dict(n=21, m_values=(3,), s_values=(3,), master_seed=-1),
+        dict(n=9, m_values=(2.5,), s_values=(3,)),
+        dict(n=9.0, m_values=(3,), s_values=(3,)),
     ],
 )
 def test_config_rejects_bad_input(kwargs):
@@ -88,6 +90,11 @@ def test_run_cell_checks_windows_before_drawing(monkeypatch):
     with pytest.raises(DimensionError):
         run_cell(9, 3, (3, 4), UnitaryKind.RANDOM_CUE, RngStream(1))
     assert draws == []
+
+
+def test_run_cell_accepts_numpy_integers():
+    replay = run_cell(np.int64(9), np.int64(3), (np.int64(5),), UnitaryKind.RANDOM_CUE, RngStream(4))
+    assert replay == run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, RngStream(4))
 
 
 def test_shared_unitary_differs_from_independent():

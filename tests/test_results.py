@@ -171,3 +171,29 @@ def test_headerless_csv_rejected(tmp_path):
     path.write_text("# n=9\n")
     with pytest.raises(EntruncError, match="column header"):
         parse_table(path)
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("m,s,mean_K,captured_weight,m\n3,3,1.0,0.5,5\n", "named twice"),
+        ("# n=9\nm,s,mean_K,captured_weight\n11,3,1.0,0.5\n", "m must be an integer in [2, 9]"),
+        ("# n=9\nm,s,mean_K,captured_weight\n3,4,1.0,0.5\n", "s must be an odd integer in [3, 9]"),
+        ("# n=8\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n", "n must be an odd integer"),
+        ("m,s,mean_K,captured_weight\n1,3,1.0,0.5\n", "m must be "),
+        ("m,s,mean_K,captured_weight\n3,1,1.0,0.5\n", "s must be "),
+    ],
+    ids=["repeated-column", "m-above-n", "even-s", "even-n", "m-below-2", "s-below-3"],
+)
+def test_parsed_rows_obey_the_writer_dimension_rules(tmp_path, text, needle):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(EntruncError) as info:
+        parse_table(path)
+    assert needle in str(info.value) and str(path) in str(info.value)
+
+
+def test_table_without_n_caps_neither_m_nor_s(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("m,s,mean_K,captured_weight\n301,401,1.0,0.5\n")
+    assert [(row.m, row.s) for row in parse_table(path).rows] == [(301, 401)]

@@ -99,10 +99,35 @@ def test_dims_validation(n, m, s):
         ("master_seed", lambda: RngStream(-1)),
         ("s", lambda: truncate(make_initial_state(HilbertDims(9, 3)), 4)),
         ("n", lambda: sample_cue(8, RngStream(0))),
+        ("m", lambda: HilbertDims(9, 3.5)),
+        ("m", lambda: SweepConfig(n=9, m_values=(2.5,), s_values=(3,))),
+        ("n", lambda: SweepConfig(n=9.0, m_values=(3,), s_values=(3,))),
+        ("s", lambda: SweepConfig(n=9, m_values=(3,), s_values=(11,))),
     ],
-    ids=["HilbertDims-m", "HilbertDims-s", "SweepConfig", "RngStream", "truncate", "sample_cue"],
+    ids=["HilbertDims-m", "HilbertDims-s", "SweepConfig", "RngStream", "truncate", "sample_cue",
+         "HilbertDims-m-float", "SweepConfig-m-float", "SweepConfig-n-float", "SweepConfig-s"],
 )
 def test_integer_checks_name_their_parameter(name, build):
     with pytest.raises(DimensionError) as info:
         build()
     assert str(info.value).startswith(f"{name} must be ")
+
+
+@given(
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=-2, max_value=17),
+    st.integers(min_value=-2, max_value=17),
+)
+def test_sweep_config_applies_exactly_the_hilbert_dims_rules(n, m, s):
+    # One statement of the n, m and s rules: a one-cell sweep is valid exactly
+    # when its dimension triple is.
+    def rejected(build):
+        try:
+            build()
+        except DimensionError:
+            return True
+        return False
+
+    assert rejected(lambda: SweepConfig(n=n, m_values=(m,), s_values=(s,))) == rejected(
+        lambda: HilbertDims(n, m, s)
+    )
