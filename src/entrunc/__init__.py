@@ -9,8 +9,9 @@ Monte Carlo engine and CSV/JSON/SVG emission are included; the ``entrunc``
 console script exposes the sweeps.
 """
 
-# Assigned before the submodule imports: ``results`` reads it when imported.
-__version__ = "0.1.0"
+# The one home of the version (pyproject.toml reads it); it tags which engine wrote a
+# result.  Assigned before the submodule imports: ``results`` reads it when imported.
+__version__ = "0.2.0"
 
 from . import analytics, ensemble, errors, pipeline, plotting, results, statespace, unitaries
 from .analytics import *  # noqa: F403 -- each module's __all__ is its one list of public names

@@ -1,19 +1,36 @@
 """Monte Carlo engine: (m, s) sweeps under uniform-spreading or Haar dynamics.
 
 A *realization* draws one pair of local unitaries and evaluates every
-requested m against it: each encoding state is evolved once and truncated to
-every requested window size (the windows are nested, so one evolution serves
-all s).  Ensembles aggregate the Schmidt number over realizations into
-per-(m, s) means and population standard deviations.
+requested m against it.  Ensembles aggregate the Schmidt number over
+realizations into per-(m, s) means and population standard deviations.
+
+Window kernel.  Per (realization, m) the state is evolved once, and only
+through its m encoding columns: the evolved coefficients are
+``(U_A[:, E]·β_E)·U_B[:, E′]ᵀ`` over all n rows and columns, in O(n²m), with
+E, E′ and β_E read from :func:`make_initial_state`.  The windows are nested,
+so the kernel walks outward one shell (two levels) at a time: it keeps the
+row Gram R = C[:, W]·C[:, W]† of the window's columns W over every row of the
+state, adds the two new columns as a rank-2 update, and reads window s off
+its central s×s block G as weight w = tr G and K = w²/‖G‖²_F.  The walk
+starts from a Gram built directly at s = 3 for the windows below the anchor
+s* = m | 1 (the smallest odd s ≥ m), and from one built at s* for the windows
+above it.  The anchor window itself goes through the public chain
+``truncate → reduced_purity → schmidt_number``, so a loss sweep (s = m)
+never walks and never builds an n×n Gram.  ``truncate`` also sees the
+narrowest requested window of every (realization, m): nested windows only
+gain weight, so that one call applies the degenerate-weight rule to all.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
-drawn once, so cells of different m in one run are correlated.  Realizations
-run one after another in index order, and statistics are reduced in fixed
-index order — so the output is bit-identical for a fixed master seed,
-numpy/BLAS build and BLAS thread count, and :func:`run_cell` replays any
-realization of any m in isolation.  Runs log a progress line with rate and
-ETA at most every ``PROGRESS_EVERY_S`` seconds.  The ``workers`` argument of
+drawn once, so cells of different m in one run are correlated.  A window's
+value depends only on the draw and (n, m, s), not on which other windows
+are requested, so :func:`loss_sweep` equals the diagonal of
+:func:`run_ensemble` exactly.  Realizations run one after another in index
+order, and statistics are reduced in fixed index order — so the output is
+bit-identical for a fixed master seed, numpy/BLAS build and BLAS thread
+count, and :func:`run_cell` replays any realization of any m in isolation.
+Runs log a progress line with rate and ETA at most every
+``PROGRESS_EVERY_S`` seconds.  The ``workers`` argument of
 :func:`run_ensemble` and :func:`loss_sweep` is accepted for compatibility
 and has no effect.
 """
@@ -29,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError
-from .pipeline import evolve, reduced_purity, schmidt_number, truncate
+from .pipeline import reduced_purity, schmidt_number, truncate
 from .statespace import HilbertDims, _check_int, make_initial_state
 from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
 
@@ -60,6 +77,8 @@ def _check_values(name: str, values: tuple[int, ...]) -> None:
     """The list rules of a sweep axis; each entry's bounds are ``HilbertDims``'s."""
     if not values:
         raise DimensionError(f"{name} must not be empty")
+    if None in values:  # HilbertDims reads s=None as s=n; a sweep names every window
+        raise DimensionError(f"{name} must hold integers, got {values}")
     if list(values) != sorted(set(values)):
         raise DimensionError(f"{name} must be strictly ascending, got {values}")
 
@@ -148,16 +167,50 @@ def _draw(
     return u_a, sample_cue(n, stream.child(1)) if independent_ab else u_a
 
 
+def _walk(evolved: np.ndarray, start: int, wanted: list[int]) -> dict[int, tuple[float, float]]:
+    """(K, weight) at each window of ``wanted`` (ascending, each ≥ ``start``).
+
+    Starts from the row Gram of window ``start`` over every row of the state
+    and widens it two columns at a time; window s is its central s×s block.
+    """
+    lo = (evolved.shape[0] - start) // 2
+    strip = evolved[:, lo:lo + start]
+    gram = strip @ strip.conj().T
+    update = np.empty_like(gram)  # reused: a fresh n×n product per step is slower
+    out = {}
+    for s in range(start, wanted[-1] + 1, 2):
+        if s > start:  # two more columns: a rank-2 update
+            lo -= 1
+            pair = evolved[:, [lo, lo + s - 1]]
+            gram += np.matmul(pair, pair.conj().T, out=update)
+        if s in wanted:
+            # tr G and ‖G‖²_F of the window's block G; the float view sums Re² + Im².
+            weight = float(np.trace(gram[lo:lo + s, lo:lo + s]).real)
+            parts = gram.view(float)[lo:lo + s, 2 * lo:2 * (lo + s)]
+            out[s] = (weight * weight / float(np.einsum("ij,ij->", parts, parts)), weight)
+    return out
+
+
 def _windows(
     dims: HilbertDims, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray
 ) -> list[tuple[int, float, float]]:
-    """Evolve the encoding state of ``dims.m`` once and truncate to every s."""
-    evolved = evolve(make_initial_state(dims), u_a, u_b)
-    out = []
-    for s in s_values:
-        block = truncate(evolved, s)
-        out.append((s, schmidt_number(reduced_purity(block)), block.captured_weight))
-    return out
+    """(s, K, weight) of the encoding state of ``dims.m`` at every window (see the module doc)."""
+    anchor = dims.m | 1
+    beta = make_initial_state(dims)
+    rows, cols = np.nonzero(beta)
+    evolved = (u_a[:, rows] * beta[rows, cols]) @ u_b[:, cols].T  # evolve(beta, u_a, u_b)
+    narrowest = truncate(evolved, s_values[0])  # the degenerate-weight rule for every window
+    values = {}
+    if anchor in s_values:
+        block = narrowest if s_values[0] == anchor else truncate(evolved, anchor)
+        values[anchor] = (schmidt_number(reduced_purity(block)), block.captured_weight)
+    below = [s for s in s_values if s < anchor]
+    above = [s for s in s_values if s > anchor]
+    if below:
+        values.update(_walk(evolved, 3, below))
+    if above:
+        values.update(_walk(evolved, anchor, above))
+    return [(s, *values[s]) for s in s_values]
 
 
 def run_cell(
@@ -168,7 +221,11 @@ def run_cell(
     stream: RngStream | None = None,
     independent_ab: bool = True,
 ) -> list[tuple[int, float, float]]:
-    """One realization: evolve once, truncate to every s; returns (s, K, weight) triples."""
+    """One realization of one m at every window; returns (s, K, weight) triples.
+
+    ``s_values`` obeys the list rules of ``SweepConfig.s_values``.
+    """
+    _check_values("s_values", s_values)
     for s in s_values:  # n, m and every window are checked before the pair is drawn
         HilbertDims(n, m, s)
     return _windows(HilbertDims(n, m), s_values, *_draw(n, unitary_kind, stream, independent_ab))

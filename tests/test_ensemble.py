@@ -7,13 +7,19 @@ import pytest
 import entrunc.ensemble as ensemble
 from entrunc import (
     DimensionError,
+    HilbertDims,
     RngStream,
     SweepConfig,
     UnitaryKind,
+    evolve,
     loss_sweep,
+    make_initial_state,
+    reduced_purity,
     run_cell,
     run_ensemble,
     sample_cue,
+    schmidt_number,
+    truncate,
     uniform_spreading_unitary,
 )
 
@@ -37,6 +43,7 @@ from oracles import SCHMIDT_N201_S101, TINY_ENSEMBLE
         dict(n=21, m_values=(3,), s_values=(3,), master_seed=-1),
         dict(n=9, m_values=(2.5,), s_values=(3,)),
         dict(n=9.0, m_values=(3,), s_values=(3,)),
+        dict(n=9, m_values=(3,), s_values=(None,)),
     ],
 )
 def test_config_rejects_bad_input(kwargs):
@@ -92,9 +99,46 @@ def test_run_cell_checks_windows_before_drawing(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("s_values", [(), (5, 3), (3, 3), (None,)])
+def test_run_cell_applies_the_window_list_rules_before_drawing(monkeypatch, s_values):
+    draws = []
+    monkeypatch.setattr(ensemble, "sample_cue", lambda n, stream: draws.append(stream))
+    with pytest.raises(DimensionError, match="s_values"):
+        run_cell(9, 3, s_values, UnitaryKind.RANDOM_CUE, RngStream(1))
+    assert draws == []
+
+
 def test_run_cell_accepts_numpy_integers():
     replay = run_cell(np.int64(9), np.int64(3), (np.int64(5),), UnitaryKind.RANDOM_CUE, RngStream(4))
     assert replay == run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, RngStream(4))
+
+
+def _reference_chain(n, m, s, u_a, u_b):
+    """(K, weight) of one window through the public single-window functions."""
+    block = truncate(evolve(make_initial_state(HilbertDims(n, m)), u_a, u_b), s)
+    return schmidt_number(reduced_purity(block)), block.captured_weight
+
+
+@pytest.mark.parametrize("independent_ab", [True, False])
+@pytest.mark.parametrize("kind", list(UnitaryKind))
+@pytest.mark.parametrize("n, m_values", [(9, (2, 3, 4, 9)), (11, (2, 5, 6, 10, 11)),
+                                         (15, (2, 7, 8, 14, 15))])
+def test_window_value_depends_only_on_draw_and_dimensions(n, m_values, kind, independent_ab):
+    # The kernel walks from s = 3 and from the anchor m | 1; whichever windows
+    # are requested, each window's (K, weight) must come out bit for bit the same.
+    windows = tuple(range(3, n + 1, 2))
+    for j in range(2):
+        stream = RngStream(31).child(j)
+        u_a, u_b = ensemble._draw(n, kind, stream, independent_ab)
+        for m in m_values:
+            full = run_cell(n, m, windows, kind, stream, independent_ab)
+            assert [s for s, _, _ in full] == list(windows)
+            assert run_cell(n, m, windows[1:], kind, stream, independent_ab) == full[1:]
+            for i, (s, k, w) in enumerate(full):
+                assert run_cell(n, m, (s,), kind, stream, independent_ab) == [full[i]]
+                k_ref, w_ref = _reference_chain(n, m, s, u_a, u_b)
+                assert k == pytest.approx(k_ref, rel=1e-12, abs=0)
+                assert w == pytest.approx(w_ref, rel=1e-12, abs=0)
 
 
 def test_shared_unitary_differs_from_independent():
