@@ -7,18 +7,19 @@ realizations into per-(m, s) means and population standard deviations.
 Window kernel.  Per (realization, m) the state is evolved once, and only
 through its m encoding columns: the evolved coefficients are
 ``(U_A[:, E]·β_E)·U_B[:, E′]ᵀ`` over all n rows and columns, in O(n²m), with
-E, E′ and β_E read from :func:`make_initial_state`.  The windows are nested,
-so the kernel walks outward one shell (two levels) at a time: it keeps the
-row Gram R = C[:, W]·C[:, W]† of the window's columns W over every row of the
-state, adds the two new columns as a rank-2 update, and reads window s off
-its central s×s block G as weight w = tr G and K = w²/‖G‖²_F.  The walk
-starts from a Gram built directly at s = 3 for the windows below the anchor
-s* = m | 1 (the smallest odd s ≥ m), and from one built at s* for the windows
-above it.  The anchor window itself goes through the public chain
-``truncate → reduced_purity → schmidt_number``, so a loss sweep (s = m)
-never walks and never builds an n×n Gram.  ``truncate`` also sees the
-narrowest requested window of every (realization, m): nested windows only
-gain weight, so that one call applies the degenerate-weight rule to all.
+E, E′ and β_E read once per run from :func:`make_initial_state`.  The
+windows are nested, so the kernel walks outward one shell (two levels) at a
+time: it keeps the row Gram R = C[:, W]·C[:, W]† of the window's columns W
+over every row of the state, adds the two new columns as a rank-2 update,
+and reads window s off its central s×s block G as weight w = tr G and
+K = w²/‖G‖²_F.  There is one walk: it starts from the Gram of the s = 3
+strip and passes every requested window but the anchor s* = m | 1 (the
+smallest odd s ≥ m).  The anchor is evaluated directly through the public
+chain ``truncate → reduced_purity → schmidt_number``, so a loss sweep
+(s = m) never walks and never builds an n×n Gram.  ``truncate`` also sees
+the narrowest requested window of every (realization, m): nested windows
+only gain weight, so that one call applies the degenerate-weight rule to
+all.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
@@ -115,28 +116,24 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
-    """Per-(m, s) Schmidt-number statistics of one sweep.
+    """Per-(m, s) Schmidt-number statistics of one sweep of ``config``.
 
-    ``mean_K``, ``std_K`` (population standard deviation; all zeros for the
-    deterministic kind) and ``mean_captured_weight`` are arrays of shape
-    (len(m_values), len(s_values)).
+    ``realizations`` is the number of draws run (1 for the deterministic
+    uniform kind).  ``mean_K``, ``std_K`` (population standard deviation; all
+    zeros for the deterministic kind) and ``mean_captured_weight`` are arrays
+    of shape (len(config.m_values), len(config.s_values)).
     """
 
-    n: int
-    unitary_kind: UnitaryKind
-    m_values: tuple[int, ...]
-    s_values: tuple[int, ...]
+    config: SweepConfig
     realizations: int
-    master_seed: int
-    independent_ab: bool
     mean_K: np.ndarray
     std_K: np.ndarray
     mean_captured_weight: np.ndarray
 
     def cell(self, m: int, s: int) -> tuple[float, float, float]:
         """(mean_K, std_K, mean_captured_weight) of the (m, s) cell."""
-        i = self.m_values.index(m)
-        j = self.s_values.index(s)
+        i = self.config.m_values.index(m)
+        j = self.config.s_values.index(s)
         return (
             float(self.mean_K[i, j]),
             float(self.std_K[i, j]),
@@ -167,19 +164,20 @@ def _draw(
     return u_a, sample_cue(n, stream.child(1)) if independent_ab else u_a
 
 
-def _walk(evolved: np.ndarray, start: int, wanted: list[int]) -> dict[int, tuple[float, float]]:
-    """(K, weight) at each window of ``wanted`` (ascending, each ≥ ``start``).
+def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
+    """(K, weight) at each window of ``wanted`` (ascending).
 
-    Starts from the row Gram of window ``start`` over every row of the state
-    and widens it two columns at a time; window s is its central s×s block.
+    Starts from the row Gram of window s = 3 over every row of the state and
+    widens it two columns at a time; window s is its central s×s block.  The
+    Gram at step s does not depend on ``wanted``, so neither does any value.
     """
-    lo = (evolved.shape[0] - start) // 2
-    strip = evolved[:, lo:lo + start]
+    lo = (evolved.shape[0] - 3) // 2
+    strip = evolved[:, lo:lo + 3]
     gram = strip @ strip.conj().T
     update = np.empty_like(gram)  # reused: a fresh n×n product per step is slower
     out = {}
-    for s in range(start, wanted[-1] + 1, 2):
-        if s > start:  # two more columns: a rank-2 update
+    for s in range(3, wanted[-1] + 1, 2):
+        if s > 3:  # two more columns: a rank-2 update
             lo -= 1
             pair = evolved[:, [lo, lo + s - 1]]
             gram += np.matmul(pair, pair.conj().T, out=update)
@@ -191,25 +189,32 @@ def _walk(evolved: np.ndarray, start: int, wanted: list[int]) -> dict[int, tuple
     return out
 
 
-def _windows(
-    dims: HilbertDims, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray
-) -> list[tuple[int, float, float]]:
-    """(s, K, weight) of the encoding state of ``dims.m`` at every window (see the module doc)."""
-    anchor = dims.m | 1
+def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(m, rows, cols, β[rows, cols]): the m nonzero entries of ``make_initial_state(dims)``.
+
+    Read once per run and m: allocating and scanning the mostly-zero n×n β
+    for every realization was a measurable share of a loss sweep.
+    """
     beta = make_initial_state(dims)
     rows, cols = np.nonzero(beta)
-    evolved = (u_a[:, rows] * beta[rows, cols]) @ u_b[:, cols].T  # evolve(beta, u_a, u_b)
+    return dims.m, rows, cols, beta[rows, cols]
+
+
+def _windows(
+    encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray
+) -> list[tuple[int, float, float]]:
+    """(s, K, weight) of the state of one ``_encoding`` at every window (see the module doc)."""
+    m, rows, cols, coeffs = encoding
+    anchor = m | 1
+    evolved = (u_a[:, rows] * coeffs) @ u_b[:, cols].T  # evolve(beta, u_a, u_b)
     narrowest = truncate(evolved, s_values[0])  # the degenerate-weight rule for every window
     values = {}
     if anchor in s_values:
         block = narrowest if s_values[0] == anchor else truncate(evolved, anchor)
         values[anchor] = (schmidt_number(reduced_purity(block)), block.captured_weight)
-    below = [s for s in s_values if s < anchor]
-    above = [s for s in s_values if s > anchor]
-    if below:
-        values.update(_walk(evolved, 3, below))
-    if above:
-        values.update(_walk(evolved, anchor, above))
+    walked = [s for s in s_values if s != anchor]
+    if walked:
+        values.update(_walk(evolved, walked))
     return [(s, *values[s]) for s in s_values]
 
 
@@ -228,7 +233,8 @@ def run_cell(
     _check_values("s_values", s_values)
     for s in s_values:  # n, m and every window are checked before the pair is drawn
         HilbertDims(n, m, s)
-    return _windows(HilbertDims(n, m), s_values, *_draw(n, unitary_kind, stream, independent_ab))
+    return _windows(_encoding(HilbertDims(n, m)), s_values,
+                    *_draw(n, unitary_kind, stream, independent_ab))
 
 
 def _collect(
@@ -243,18 +249,18 @@ def _collect(
     the mean K, the population std of K and the mean captured weight.
     """
     draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations
-    encodings = [HilbertDims(config.n, m) for m in config.m_values]
+    encodings = [_encoding(HilbertDims(config.n, m)) for m in config.m_values]
     k_values = [np.empty((draws, len(s_values))) for s_values in windows]
     weights = [np.empty((draws, len(s_values))) for s_values in windows]
     base = RngStream(config.master_seed)
     start = reported = monotonic()
     for j in range(draws):
         u_a, u_b = _draw(config.n, config.unitary_kind, base.child(j), config.independent_ab)
-        for dims, s_values, ks, ws in zip(encodings, windows, k_values, weights):
+        for encoding, s_values, ks, ws in zip(encodings, windows, k_values, weights):
             try:
-                row = _windows(dims, s_values, u_a, u_b)
+                row = _windows(encoding, s_values, u_a, u_b)
             except DegenerateTruncationError as err:
-                raise DegenerateTruncationError(f"realization {j}, m={dims.m}: {err}") from err
+                raise DegenerateTruncationError(f"realization {j}, m={encoding[0]}: {err}") from err
             ks[j], ws[j] = [k for _, k, _ in row], [w for _, _, w in row]
         del u_a, u_b  # free this pair before the next draw allocates its own
         now = monotonic()
@@ -273,19 +279,7 @@ def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
     ``workers`` is accepted for compatibility and has no effect.
     """
     realizations, cells = _collect(config, [config.s_values] * len(config.m_values))
-    mean_k, std_k, mean_w = (np.array(column) for column in zip(*cells))
-    return EnsembleStats(
-        n=config.n,
-        unitary_kind=config.unitary_kind,
-        m_values=config.m_values,
-        s_values=config.s_values,
-        realizations=realizations,
-        master_seed=config.master_seed,
-        independent_ab=config.independent_ab,
-        mean_K=mean_k,
-        std_K=std_k,
-        mean_captured_weight=mean_w,
-    )
+    return EnsembleStats(config, realizations, *(np.array(column) for column in zip(*cells)))
 
 
 def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:

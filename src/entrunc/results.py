@@ -21,7 +21,7 @@ It converts the cell's text, so a JSON ``3.0`` or ``true`` for m is refused
 just as the same CSV text is.  A header that names a column twice is
 refused, and every parsed row must obey the writer's dimension rules, which
 ``HilbertDims`` states: m >= 2 and odd s >= 3, both at most the metadata's
-n when it gives one.
+n when it gives one.  A ``run_kind=loss`` table holds only s = m rows.
 """
 
 from __future__ import annotations
@@ -90,30 +90,30 @@ class ResultTable:
         )
 
 
-def _table(run, run_kind: str, cells) -> ResultTable:
-    """Tabulate ``(m, s, mean_K, std_K, captured_weight)`` cells of ``run``.
+def _table(config: SweepConfig, run_kind: str, cells) -> ResultTable:
+    """Tabulate ``(m, s, mean_K, std_K, captured_weight)`` cells of a run of ``config``.
 
-    ``run`` is the SweepConfig or EnsembleStats that produced the cells; this
-    is the one place that applies the column policy of the module docstring.
+    This is the one place that applies the column policy of the module
+    docstring.
     """
-    random = run.unitary_kind is UnitaryKind.RANDOM_CUE
-    uniform_m2 = not random and all(m == 2 for m in run.m_values)
+    random = config.unitary_kind is UnitaryKind.RANDOM_CUE
+    uniform_m2 = not random and all(m == 2 for m in config.m_values)
     metadata = {
         "version": __version__,
         "run_kind": run_kind,
-        "n": str(run.n),
-        "unitary_kind": run.unitary_kind.value,
+        "n": str(config.n),
+        "unitary_kind": config.unitary_kind.value,
     }
     if random:
-        metadata["realizations"] = str(run.realizations)
-        metadata["master_seed"] = str(run.master_seed)
-        metadata["independent_ab"] = "true" if run.independent_ab else "false"
+        metadata["realizations"] = str(config.realizations)
+        metadata["master_seed"] = str(config.master_seed)
+        metadata["independent_ab"] = "true" if config.independent_ab else "false"
     rows = []
     for m, s, mean_K, std_K, weight in cells:
         if random:
-            analytic = float(conjectured_schmidt_number(run.n, m, s))
+            analytic = float(conjectured_schmidt_number(config.n, m, s))
         elif uniform_m2:
-            analytic = 1.0 / analytic_purity_m2(run.n, s)
+            analytic = 1.0 / analytic_purity_m2(config.n, s)
         else:
             analytic = None
         rows.append(
@@ -131,10 +131,10 @@ def _table(run, run_kind: str, cells) -> ResultTable:
 
 def table_from_stats(stats: EnsembleStats) -> ResultTable:
     """Tabulate a grid sweep, attaching the applicable analytic K column."""
-    return _table(stats, "sweep", (
+    return _table(stats.config, "sweep", (
         (m, s, stats.mean_K[i, j], stats.std_K[i, j], stats.mean_captured_weight[i, j])
-        for i, m in enumerate(stats.m_values)
-        for j, s in enumerate(stats.s_values)
+        for i, m in enumerate(stats.config.m_values)
+        for j, s in enumerate(stats.config.s_values)
     ))
 
 
@@ -246,6 +246,8 @@ def _read_table(metadata: dict[str, str], columns: list[str], records: list[list
             )
         row = ResultRow(**{c: _cell(c, data.get(c)) for c in CANONICAL_COLUMNS})
         HilbertDims(2 * max(row.m, row.s, 1) + 1 if n is None else n, row.m, row.s)
+        if metadata.get("run_kind") == "loss" and row.s != row.m:
+            raise EntruncError(f"data row {number} of a loss table must have s = m, got {record}")
         rows.append(row)
     return ResultTable(metadata=metadata, rows=tuple(rows))
 

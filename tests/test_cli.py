@@ -289,6 +289,10 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
         "dup_column.csv": "m,m,s,mean_K,captured_weight\n3,5,3,1.0,0.5\n",
         "neg_m.csv": "# run_kind=sweep\nm,s,mean_K,captured_weight\n-4,2,1.0,0.5\n",
         "s_over_n.csv": "# n=9\nm,s,mean_K,captured_weight\n3,11,1.0,0.5\n",
+        # A loss table holds only s = m rows; these would plot as one m with two points.
+        "loss_off_diagonal.json": '{"format": "entrunc-result", "metadata": {"n": "9", "run_kind": "loss"},'
+                                  ' "columns": ["m", "s", "mean_K", "captured_weight"],'
+                                  ' "rows": [[3, 5, 1.0, 0.5], [3, 7, 1.2, 0.6]]}',
     }
     for name, text in inputs.items():
         path = tmp_path / name

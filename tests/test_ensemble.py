@@ -122,10 +122,11 @@ def _reference_chain(n, m, s, u_a, u_b):
 @pytest.mark.parametrize("independent_ab", [True, False])
 @pytest.mark.parametrize("kind", list(UnitaryKind))
 @pytest.mark.parametrize("n, m_values", [(9, (2, 3, 4, 9)), (11, (2, 5, 6, 10, 11)),
-                                         (15, (2, 7, 8, 14, 15))])
+                                         (15, (2, 7, 8, 14, 15)), (51, (5, 38, 50, 51))])
 def test_window_value_depends_only_on_draw_and_dimensions(n, m_values, kind, independent_ab):
-    # The kernel walks from s = 3 and from the anchor m | 1; whichever windows
-    # are requested, each window's (K, weight) must come out bit for bit the same.
+    # The kernel walks once from s = 3, through and past the anchor m | 1, which
+    # it evaluates directly; whichever windows are requested, each window's
+    # (K, weight) must come out bit for bit the same.
     windows = tuple(range(3, n + 1, 2))
     for j in range(2):
         stream = RngStream(31).child(j)
@@ -252,6 +253,7 @@ def test_sweeps_equal_stacked_run_cell_replays(kind, independent_ab):
                   independent_ab=independent_ab)
     config = SweepConfig(m_values=(2, 3, 7, 11), s_values=(3, 7, 11), **common)
     stats = run_ensemble(config)
+    assert stats.config is config
     for i, m in enumerate(config.m_values):
         mean_k, std_k, mean_w = _replayed(config, m, config.s_values)
         assert np.array_equal(stats.mean_K[i], mean_k)
