@@ -29,7 +29,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from .ensemble import SweepConfig, UnitaryKind, loss_sweep, run_ensemble
 from .errors import DegenerateTruncationError, DimensionError, DomainError, EntruncError
@@ -44,7 +43,7 @@ from .results import (
     table_from_stats,
 )
 
-__all__ = ["main", "check_conjecture", "ConjectureReport", "SMALL_WINDOW_LIMIT"]
+__all__ = ["main", "SMALL_WINDOW_LIMIT"]
 
 logger = logging.getLogger(__name__)
 
@@ -59,16 +58,6 @@ SMALL_WINDOW_LIMIT = 11
 
 # ---------------------------------------------------------------------------
 # conjecture check
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    """The checked ensemble table, its realization count R and the verdict."""
-
-    table: ResultTable
-    realizations: int
-    tolerance: float
-    passed: bool
 
 
 def _rel_dev(row: ResultRow) -> float:
@@ -87,28 +76,20 @@ def _worst(rows: list[ResultRow]) -> ResultRow:
     return max(rows, key=lambda row: abs(_rel_dev(row)))
 
 
-def check_conjecture(config: SweepConfig, tolerance: float) -> ConjectureReport:
-    """Run the ensemble and compare mean K against the additive purity model.
+def _verdict(table: ResultTable, realizations: int, tolerance: float) -> tuple[list[str], bool]:
+    """The report lines of an ensemble table checked against the additive model, and the verdict.
 
     A cell is *counted* toward the verdict when m ≥ 5 and s > SMALL_WINDOW_LIMIT;
     the report still lists the deviation and the ±2·std/√R status of every cell.
+    The check passes when the worst counted cell lies within ``tolerance``.
     """
-    if config.unitary_kind is not UnitaryKind.RANDOM_CUE:
-        raise EntruncError("the conjecture applies to random-unitary ensembles only")
-    table = table_from_stats(run_ensemble(config))
-    passed = all(abs(_rel_dev(row)) <= tolerance for row in table.rows if _counted(row))
-    return ConjectureReport(table=table, realizations=config.realizations,
-                            tolerance=tolerance, passed=passed)
-
-
-def _report_lines(report: ConjectureReport) -> list[str]:
-    rows = report.table.rows
+    rows = table.rows
     lines = []
     for m in sorted({r.m for r in rows}):
         group = [r for r in rows if r.m == m]
         worst = _worst(group)
         counted = [r for r in group if _counted(r)]
-        outside = sum(_outside_se(r, report.realizations) for r in group)
+        outside = sum(_outside_se(r, realizations) for r in group)
         expected = len(group) - len(counted)
         line = (
             f"m={m:3d}: max |rel dev| {abs(_rel_dev(worst)):6.2%} at s={worst.s};"
@@ -120,17 +101,17 @@ def _report_lines(report: ConjectureReport) -> list[str]:
             line += f"; counted max {abs(_rel_dev(worst_counted)):6.2%} at s={worst_counted.s}"
         lines.append(line)
     counted = [r for r in rows if _counted(r)]
-    if counted:
-        worst = _worst(counted)
-        verdict = "PASS" if report.passed else "FAIL"
-        lines.append(
-            f"verdict: {verdict} — worst counted deviation {abs(_rel_dev(worst)):.2%} at "
-            f"(m={worst.m}, s={worst.s}) vs tolerance {report.tolerance:.2%}"
-        )
-    else:
+    if not counted:
         lines.append("verdict: PASS — no counted cells (all m < 5 or s <= "
                      f"{SMALL_WINDOW_LIMIT}); deviations are informational")
-    return lines
+        return lines, True
+    worst = _worst(counted)
+    passed = abs(_rel_dev(worst)) <= tolerance
+    lines.append(
+        f"verdict: {'PASS' if passed else 'FAIL'} — worst counted deviation"
+        f" {abs(_rel_dev(worst)):.2%} at (m={worst.m}, s={worst.s}) vs tolerance {tolerance:.2%}"
+    )
+    return lines, passed
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +200,15 @@ def cmd_check_conjecture(parser, args) -> int:
     config = _config(parser, args)
     if not 0 < args.tolerance < 1:
         parser.error(f"--tolerance must lie in (0, 1) (got {args.tolerance})")
-    report = check_conjecture(config, args.tolerance)
+    table = table_from_stats(run_ensemble(config))
     if args.out is not None:
-        _write_output(report.table, args)
+        _write_output(table, args)
     print(f"conjecture check: n={config.n} realizations={config.realizations} "
           f"seed={config.master_seed} tolerance={args.tolerance:.2%}")
-    for line in _report_lines(report):
+    lines, passed = _verdict(table, config.realizations, args.tolerance)
+    for line in lines:
         print(line)
-    return EXIT_OK if report.passed else EXIT_CONJECTURE
+    return EXIT_OK if passed else EXIT_CONJECTURE
 
 
 def cmd_loss(parser, args) -> int:

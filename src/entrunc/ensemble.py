@@ -11,15 +11,17 @@ E, E′ and β_E read once per run from :func:`make_initial_state`.  The
 windows are nested, so the kernel walks outward one shell (two levels) at a
 time: it keeps the row Gram R = C[:, W]·C[:, W]† of the window's columns W
 over every row of the state, adds the two new columns as a rank-2 update,
-and reads window s off its central s×s block G as weight w = tr G and
-K = w²/‖G‖²_F.  There is one walk: it starts from the Gram of the s = 3
-strip and passes every requested window but the anchor s* = m | 1 (the
-smallest odd s ≥ m).  The anchor is evaluated directly through the public
-chain ``truncate → reduced_purity → schmidt_number``, so a loss sweep
-(s = m) never walks and never builds an n×n Gram.  ``truncate`` also sees
-the narrowest requested window of every (realization, m): nested windows
-only gain weight, so that one call applies the degenerate-weight rule to
-all.
+and reads window s off its central s×s block G.  Every window's weight
+w = tr G = tr ρ̃ and Schmidt number K = w²/‖G‖²_F = w²/tr ρ̃² come from one
+readout of its Gram, ``_read``.  There is one walk: it starts from the Gram
+of the s = 3 strip and passes every requested window but the anchor
+s* = m | 1 (the smallest odd s ≥ m).  The anchor is read off the Gram
+B·B† of its own central block B, so a loss sweep (s = m) never walks and
+never builds an n×n Gram.  The engine calls ``truncate`` once per
+(realization, m), on the narrowest requested window: nested windows only
+gain weight, so that one call applies the degenerate-weight rule to all.
+The public chain ``truncate → reduced_purity → schmidt_number`` stays the
+single-window reference that the tests compare every window against.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError
-from .pipeline import reduced_purity, schmidt_number, truncate
+from .pipeline import truncate
 from .statespace import HilbertDims, _check_int, make_initial_state
 from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
 
@@ -164,6 +166,16 @@ def _draw(
     return u_a, sample_cue(n, stream.child(1)) if independent_ab else u_a
 
 
+def _read(gram: np.ndarray) -> tuple[float, float]:
+    """(K, weight) of a window off the Gram G = B·B† of its unnormalized block B.
+
+    w = tr G and K = w²/‖G‖²_F; the float view sums Re² + Im².
+    """
+    weight = float(np.trace(gram).real)
+    parts = gram.view(float)
+    return weight * weight / float(np.einsum("ij,ij->", parts, parts)), weight
+
+
 def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
     """(K, weight) at each window of ``wanted`` (ascending).
 
@@ -182,10 +194,7 @@ def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, floa
             pair = evolved[:, [lo, lo + s - 1]]
             gram += np.matmul(pair, pair.conj().T, out=update)
         if s in wanted:
-            # tr G and ‖G‖²_F of the window's block G; the float view sums Re² + Im².
-            weight = float(np.trace(gram[lo:lo + s, lo:lo + s]).real)
-            parts = gram.view(float)[lo:lo + s, 2 * lo:2 * (lo + s)]
-            out[s] = (weight * weight / float(np.einsum("ij,ij->", parts, parts)), weight)
+            out[s] = _read(gram[lo:lo + s, lo:lo + s])
     return out
 
 
@@ -207,11 +216,12 @@ def _windows(
     m, rows, cols, coeffs = encoding
     anchor = m | 1
     evolved = (u_a[:, rows] * coeffs) @ u_b[:, cols].T  # evolve(beta, u_a, u_b)
-    narrowest = truncate(evolved, s_values[0])  # the degenerate-weight rule for every window
+    truncate(evolved, s_values[0])  # the degenerate-weight rule for every window
     values = {}
     if anchor in s_values:
-        block = narrowest if s_values[0] == anchor else truncate(evolved, anchor)
-        values[anchor] = (schmidt_number(reduced_purity(block)), block.captured_weight)
+        lo = (evolved.shape[0] - anchor) // 2
+        block = evolved[lo:lo + anchor, lo:lo + anchor]
+        values[anchor] = _read(block @ block.conj().T)
     walked = [s for s in s_values if s != anchor]
     if walked:
         values.update(_walk(evolved, walked))
@@ -230,38 +240,37 @@ def run_cell(
 
     ``s_values`` obeys the list rules of ``SweepConfig.s_values``.
     """
-    _check_values("s_values", s_values)
-    for s in s_values:  # n, m and every window are checked before the pair is drawn
-        HilbertDims(n, m, s)
-    return _windows(_encoding(HilbertDims(n, m)), s_values,
+    config = SweepConfig(n, (m,), s_values)  # every rule is checked before the pair is drawn
+    return _windows(_encoding(HilbertDims(n, m)), config.s_values,
                     *_draw(n, unitary_kind, stream, independent_ab))
 
 
 def _collect(
     config: SweepConfig, windows: list[tuple[int, ...]]
-) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Realizations evaluated for every m and reduced per window.
 
-    ``windows[i]`` are the windows of ``config.m_values[i]``.  Realization j
-    draws its pair once (one draw, stream unused, for the deterministic
-    uniform kind) and evaluates every m against it.  Returns the number of
-    realizations run and, per m, arrays of length len(windows[i]) holding
-    the mean K, the population std of K and the mean captured weight.
+    ``windows[i]`` are the windows of ``config.m_values[i]``, equally many for
+    every m.  Realization j draws its pair once (one draw, stream unused, for
+    the deterministic uniform kind) and evaluates every m against it.
+    Returns the number of realizations run and the mean K, the population
+    std of K and the mean captured weight, each of shape
+    (len(config.m_values), len(windows[0])).
     """
     draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations
     encodings = [_encoding(HilbertDims(config.n, m)) for m in config.m_values]
-    k_values = [np.empty((draws, len(s_values))) for s_values in windows]
-    weights = [np.empty((draws, len(s_values))) for s_values in windows]
+    k_values = np.empty((draws, len(windows), len(windows[0])))
+    weights = np.empty_like(k_values)
     base = RngStream(config.master_seed)
     start = reported = monotonic()
     for j in range(draws):
         u_a, u_b = _draw(config.n, config.unitary_kind, base.child(j), config.independent_ab)
-        for encoding, s_values, ks, ws in zip(encodings, windows, k_values, weights):
+        for i, (encoding, s_values) in enumerate(zip(encodings, windows)):
             try:
                 row = _windows(encoding, s_values, u_a, u_b)
             except DegenerateTruncationError as err:
                 raise DegenerateTruncationError(f"realization {j}, m={encoding[0]}: {err}") from err
-            ks[j], ws[j] = [k for _, k, _ in row], [w for _, _, w in row]
+            _, k_values[j, i], weights[j, i] = zip(*row)
         del u_a, u_b  # free this pair before the next draw allocates its own
         now = monotonic()
         if now - reported >= PROGRESS_EVERY_S:
@@ -269,8 +278,7 @@ def _collect(
             logger.info("realization %d/%d, %.2f/s, ETA %.0f s",
                         j + 1, draws, rate, (draws - j - 1) / rate)
     logger.debug("n=%d: %d realization(s) over %d m value(s)", config.n, draws, len(encodings))
-    return draws, [(ks.mean(axis=0), ks.std(axis=0), ws.mean(axis=0))
-                   for ks, ws in zip(k_values, weights)]
+    return draws, k_values.mean(axis=0), k_values.std(axis=0), weights.mean(axis=0)
 
 
 def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
@@ -278,8 +286,7 @@ def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
 
     ``workers`` is accepted for compatibility and has no effect.
     """
-    realizations, cells = _collect(config, [config.s_values] * len(config.m_values))
-    return EnsembleStats(config, realizations, *(np.array(column) for column in zip(*cells)))
+    return EnsembleStats(config, *_collect(config, [config.s_values] * len(config.m_values)))
 
 
 def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:
@@ -293,14 +300,14 @@ def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:
         raise DimensionError(
             "loss sweeps require s_values == m_values (truncation onto the encoding subspace)"
         )
-    _, cells = _collect(config, [(m,) for m in config.m_values])
+    _, mean_k, std_k, mean_w = _collect(config, [(m,) for m in config.m_values])
     return [
         LossPoint(
             m=m,
-            mean_loss=float(m - mean_k),
-            std_loss=float(std_k),
-            mean_K=float(mean_k),
-            mean_captured_weight=float(mean_w),
+            mean_loss=float(m - k),
+            std_loss=float(std),
+            mean_K=float(k),
+            mean_captured_weight=float(w),
         )
-        for m, ((mean_k,), (std_k,), (mean_w,)) in zip(config.m_values, cells)
+        for m, k, std, w in zip(config.m_values, mean_k[:, 0], std_k[:, 0], mean_w[:, 0])
     ]

@@ -35,7 +35,7 @@ from pathlib import Path
 from . import __version__
 from .analytics import analytic_purity_m2, conjectured_schmidt_number
 from .ensemble import EnsembleStats, LossPoint, SweepConfig, UnitaryKind
-from .errors import EntruncError
+from .errors import DimensionError, EntruncError
 from .statespace import HilbertDims
 
 __all__ = [
@@ -224,6 +224,7 @@ def _read_table(metadata: dict[str, str], columns: list[str], records: list[list
     Cells go through ``_cell`` and dimensions through ``HilbertDims``, with
     ``n`` from the metadata.  Without an ``n`` the odd ``2·max(m, s, 1) + 1``
     stands in: it caps neither m nor s, so only m >= 2 and odd s >= 3 apply.
+    A row that breaks the rules is named by its number.
     """
     if len(set(columns)) < len(columns):
         raise EntruncError(f"a result column is named twice: {columns}")
@@ -236,6 +237,8 @@ def _read_table(metadata: dict[str, str], columns: list[str], records: list[list
     if not records:
         raise EntruncError("no data rows")
     n = int(str(metadata["n"])) if "n" in metadata else None
+    if n is not None:
+        HilbertDims(n, 2)  # the metadata's own n, before any row is blamed for it
     rows = []
     for number, record in enumerate(records, 1):
         data = dict(zip(columns, record))
@@ -245,7 +248,10 @@ def _read_table(metadata: dict[str, str], columns: list[str], records: list[list
                 f" {', '.join(_REQUIRED_COLUMNS)} set, got {record}"
             )
         row = ResultRow(**{c: _cell(c, data.get(c)) for c in CANONICAL_COLUMNS})
-        HilbertDims(2 * max(row.m, row.s, 1) + 1 if n is None else n, row.m, row.s)
+        try:
+            HilbertDims(2 * max(row.m, row.s, 1) + 1 if n is None else n, row.m, row.s)
+        except DimensionError as err:
+            raise EntruncError(f"data row {number}: {err}") from err
         if metadata.get("run_kind") == "loss" and row.s != row.m:
             raise EntruncError(f"data row {number} of a loss table must have s = m, got {record}")
         rows.append(row)

@@ -167,6 +167,21 @@ def test_check_conjecture_small_encoding_is_informational(capsys):
     assert "informational" in out
 
 
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        ([], EXIT_OK, "3f3f4b051e00f8be0009cad3bda27806e5163c92774b2c3d4c4e276cdc072727"),
+        (["--tolerance", "0.001"], EXIT_CONJECTURE,
+         "5329b77c8e45d96576e2c7f4c44e4e9acb926824878f767f4590cc54af94138e"),
+        # m < 5 leaves no counted cell.
+        (["--m", "3"], EXIT_OK, "8c681fe00c2bd9fcabaf3ecaa343cd56d0d2f82c8aff5ac94606313fb8996033"),
+    ],
+)
+def test_check_conjecture_stdout_is_frozen(capsys, argv, code, digest):
+    assert run_main(["check-conjecture", "--n", "21", "--m", "13", *argv]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_check_conjecture_can_save_table(tmp_path):
     out = tmp_path / "cells.csv"
     argv = ["check-conjecture", "--n", "9", "--m", "5", "--s", "3,5",

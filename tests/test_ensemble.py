@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import entrunc.ensemble as ensemble
+import entrunc.pipeline as pipeline
 from entrunc import (
     DimensionError,
     HilbertDims,
@@ -125,8 +126,8 @@ def _reference_chain(n, m, s, u_a, u_b):
                                          (15, (2, 7, 8, 14, 15)), (51, (5, 38, 50, 51))])
 def test_window_value_depends_only_on_draw_and_dimensions(n, m_values, kind, independent_ab):
     # The kernel walks once from s = 3, through and past the anchor m | 1, which
-    # it evaluates directly; whichever windows are requested, each window's
-    # (K, weight) must come out bit for bit the same.
+    # it reads off the Gram of its own block; whichever windows are requested,
+    # each window's (K, weight) must come out bit for bit the same.
     windows = tuple(range(3, n + 1, 2))
     for j in range(2):
         stream = RngStream(31).child(j)
@@ -288,6 +289,38 @@ def test_each_realization_draws_its_pair_once(monkeypatch):
         calls.clear()
         run(SweepConfig(**kwargs))
         assert len(calls) == expected, kwargs
+
+
+def test_engine_truncates_once_per_realization_and_m(monkeypatch):
+    # Every window is read off a Gram, the anchor m | 1 included; ``truncate``
+    # runs only on the narrowest window, for the degenerate-weight rule.
+    calls = {truncate: [], reduced_purity: [], schmidt_number: []}
+
+    def counted(original):
+        def wrapper(*args):
+            calls[original].append(args)
+            return original(*args)
+        return wrapper
+
+    for original in calls:
+        for module in (ensemble, pipeline):
+            monkeypatch.setattr(module, original.__name__, counted(original), raising=False)
+    realizations = 4
+    sweep = dict(n=9, m_values=(4, 5, 7), s_values=(3, 5, 7, 9), realizations=realizations)
+    for kwargs, run in [
+        (sweep, run_ensemble),  # no m has the narrowest window s = 3 as its anchor
+        (dict(sweep, m_values=(3, 5, 7), s_values=(3, 5, 7)), loss_sweep),
+        (dict(sweep, unitary_kind=UnitaryKind.UNIFORM_SPREADING), run_ensemble),
+    ]:
+        for log in calls.values():
+            log.clear()
+        config = SweepConfig(**kwargs)
+        run(config)
+        draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else realizations
+        narrowest = [s if run is loss_sweep else config.s_values[0]
+                     for _ in range(draws) for s in config.m_values]
+        assert [s for _, s in calls[truncate]] == narrowest, kwargs
+        assert calls[reduced_purity] == calls[schmidt_number] == [], kwargs
 
 
 def test_progress_lines_leave_results_unchanged(monkeypatch, caplog):

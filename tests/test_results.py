@@ -177,13 +177,18 @@ def test_headerless_csv_rejected(tmp_path):
     "text,needle",
     [
         ("m,s,mean_K,captured_weight,m\n3,3,1.0,0.5,5\n", "named twice"),
-        ("# n=9\nm,s,mean_K,captured_weight\n11,3,1.0,0.5\n", "m must be an integer in [2, 9]"),
-        ("# n=9\nm,s,mean_K,captured_weight\n3,4,1.0,0.5\n", "s must be an odd integer in [3, 9]"),
-        ("# n=8\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n", "n must be an odd integer"),
-        ("m,s,mean_K,captured_weight\n1,3,1.0,0.5\n", "m must be "),
-        ("m,s,mean_K,captured_weight\n3,1,1.0,0.5\n", "s must be "),
+        ("# n=9\nm,s,mean_K,captured_weight\n11,3,1.0,0.5\n",
+         "data row 1: m must be an integer in [2, 9]"),
+        ("# n=9\nm,s,mean_K,captured_weight\n3,4,1.0,0.5\n",
+         "data row 1: s must be an odd integer in [3, 9]"),
+        ("# n=8\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n", "t.csv: n must be an odd integer"),
+        ("m,s,mean_K,captured_weight\n1,3,1.0,0.5\n", "data row 1: m must be "),
+        ("m,s,mean_K,captured_weight\n3,1,1.0,0.5\n", "data row 1: s must be "),
+        ("# run_kind=sweep\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n-4,2,1.0,0.5\n",
+         "t.csv: data row 2: m must be an integer in [2, 5], got -4"),
     ],
-    ids=["repeated-column", "m-above-n", "even-s", "even-n", "m-below-2", "s-below-3"],
+    ids=["repeated-column", "m-above-n", "even-s", "even-n", "m-below-2", "s-below-3",
+         "bad-second-row"],
 )
 def test_parsed_rows_obey_the_writer_dimension_rules(tmp_path, text, needle):
     path = tmp_path / "t.csv"
