@@ -4,20 +4,29 @@ A *realization* draws one pair of local unitaries and evaluates every
 requested m against it.  Ensembles aggregate the Schmidt number over
 realizations into per-(m, s) means and population standard deviations.
 
-Window kernel.  Per (realization, m) the state is evolved once, and only
-through its m encoding columns: the evolved coefficients are
-``(U_A[:, E]·β_E)·U_B[:, E′]ᵀ`` over all n rows and columns, in O(n²m), with
-E, E′ and β_E read once per run from :func:`make_initial_state`.  The
-windows are nested, so the kernel walks outward one shell (two levels) at a
-time: it keeps the row Gram R = C[:, W]·C[:, W]† of the window's columns W
-over every row of the state, adds the two new columns as a rank-2 update,
-and reads window s off its central s×s block G.  Every window's weight
-w = tr G = tr ρ̃ and Schmidt number K = w²/‖G‖²_F = w²/tr ρ̃² come from one
-readout of its Gram, ``_read``.  There is one walk: it starts from the Gram
-of the s = 3 strip and passes every requested window but the anchor
-s* = m | 1 (the smallest odd s ≥ m).  The anchor is read off the Gram
-B·B† of its own central block B, so a loss sweep (s = m) never walks and
-never builds an n×n Gram.  The engine calls ``truncate`` once per
+Window kernel.  Per (realization, m) the state is evolved once, through its
+m encoding columns only: C = A·Bᵀ with A = U_A[:, E]·β_E and B = U_B[:, E′],
+both n×m, in O(n²m), with E, E′ and β_E read once per run from
+:func:`make_initial_state`.  Window s has weight w = tr G = tr ρ̃ and
+Schmidt number K = w²/‖G‖²_F = w²/tr ρ̃², with G = C_W·C_W† the Gram of
+its central s×s block C_W.  The windows are nested, so the kernel grows
+their Grams outward one shell (two levels) at a time from s = 3, by one of
+two routes that ``_small_route`` picks from (n, m) alone: m² ≤ 8n, fitted
+to the measured cost of both at n = 51 and n = 201.
+
+* The walk keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns
+  W, adds two columns per shell as a rank-2 update, and reads window s off
+  its central block through ``_read``: O(n³) per m.
+* The m×m route uses that C has rank m.  With P = A_W†A_W and
+  Q = B_W†B_W, w = tr(P·Q̄) and ‖G‖²_F = tr((P·Q̄)²): one batched product
+  gives every shell's m×m increment, one cumsum sums them into every P and
+  Q̄, and one batched P·Q̄ reads every window, in O(n m²) plus O(m³) per
+  window.
+
+Either route passes every requested window but the anchor s* = m | 1 (the
+smallest odd s ≥ m), which ``_read`` reads off the Gram B·B† of its own
+central block B, so a loss sweep (s = m) takes neither route and never
+builds an n×n Gram.  The engine calls ``truncate`` once per
 (realization, m), on the narrowest requested window: nested windows only
 gain weight, so that one call applies the degenerate-weight rule to all.
 The public chain ``truncate → reduced_purity → schmidt_number`` stays the
@@ -198,6 +207,43 @@ def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, floa
     return out
 
 
+def _small_route(n: int, m: int) -> bool:
+    """Whether the windows of (n, m) are read off m×m Grams (``_read_small``), not walked.
+
+    The walk costs O(n³) whatever m is; the m×m route grows with m.  Timed
+    on one draw at n = 51 and n = 201, the two break even between m² = 9n
+    and m² = 10n at one BLAS thread, and later at two.
+    """
+    return m * m <= 8 * n
+
+
+def _shell_grams(x: np.ndarray, levels: list[int]) -> np.ndarray:
+    """X_W†X_W of every window W of half-width S in ``levels`` (ascending), stacked.
+
+    Shell S holds rows c − S and c + S of the n×m ``x`` (c the centre row):
+    one batched product gives every shell's m×m increment, and one cumsum over
+    shells sums them into the Grams of the nested windows.
+    """
+    c = x.shape[0] // 2
+    shells = np.stack([x[c::-1], x[c:]], axis=1)[:levels[-1] + 1]
+    grams = shells.conj().transpose(0, 2, 1) @ shells
+    grams[0] *= 0.5  # the centre row is in both halves of shell 0
+    return np.cumsum(grams, axis=0, out=grams)[levels]
+
+
+def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
+    """(K, weight) at each window of ``wanted`` (ascending) of the state a·bᵀ of rank m.
+
+    With P = A_W†A_W and Q = B_W†B_W, the window's Gram G = A_W·Q̄·A_W† has
+    w = tr G = tr(P·Q̄) and ‖G‖²_F = tr((P·Q̄)²), so every window costs O(m³).
+    """
+    levels = [s // 2 for s in wanted]
+    pq = _shell_grams(a, levels) @ _shell_grams(b.conj(), levels)
+    weights = np.einsum("kii->k", pq).real
+    squares = np.einsum("kij,kji->k", pq, pq).real
+    return {s: (w * w / q, w) for s, w, q in zip(wanted, weights.tolist(), squares.tolist())}
+
+
 def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(m, rows, cols, β[rows, cols]): the m nonzero entries of ``make_initial_state(dims)``.
 
@@ -224,7 +270,8 @@ def _windows(
         values[anchor] = _read(block @ block.conj().T)
     walked = [s for s in s_values if s != anchor]
     if walked:
-        values.update(_walk(evolved, walked))
+        values.update(_read_small(u_a[:, rows] * coeffs, u_b[:, cols], walked)
+                      if _small_route(evolved.shape[0], m) else _walk(evolved, walked))
     return [(s, *values[s]) for s in s_values]
 
 
@@ -240,8 +287,9 @@ def run_cell(
 
     ``s_values`` obeys the list rules of ``SweepConfig.s_values``.
     """
+    dims = HilbertDims(n, m)  # names m itself, not the config's m_values
     config = SweepConfig(n, (m,), s_values)  # every rule is checked before the pair is drawn
-    return _windows(_encoding(HilbertDims(n, m)), config.s_values,
+    return _windows(_encoding(dims), config.s_values,
                     *_draw(n, unitary_kind, stream, independent_ab))
 
 

@@ -36,7 +36,7 @@ from . import __version__
 from .analytics import analytic_purity_m2, conjectured_schmidt_number
 from .ensemble import EnsembleStats, LossPoint, SweepConfig, UnitaryKind
 from .errors import DimensionError, EntruncError
-from .statespace import HilbertDims
+from .statespace import HilbertDims, _check_int
 
 __all__ = [
     "ResultRow",
@@ -222,9 +222,9 @@ def _read_table(metadata: dict[str, str], columns: list[str], records: list[list
     """The table of ``records`` under ``columns``, each row checked as the writer guarantees.
 
     Cells go through ``_cell`` and dimensions through ``HilbertDims``, with
-    ``n`` from the metadata.  Without an ``n`` the odd ``2·max(m, s, 1) + 1``
-    stands in: it caps neither m nor s, so only m >= 2 and odd s >= 3 apply.
-    A row that breaks the rules is named by its number.
+    ``n`` from the metadata.  Without an ``n`` nothing caps m or s, so only
+    m >= 2 and odd s >= 3 are checked, and a rejection says that the table
+    gives no n.  A row that breaks the rules is named by its number.
     """
     if len(set(columns)) < len(columns):
         raise EntruncError(f"a result column is named twice: {columns}")
@@ -249,9 +249,14 @@ def _read_table(metadata: dict[str, str], columns: list[str], records: list[list
             )
         row = ResultRow(**{c: _cell(c, data.get(c)) for c in CANONICAL_COLUMNS})
         try:
-            HilbertDims(2 * max(row.m, row.s, 1) + 1 if n is None else n, row.m, row.s)
+            if n is None:  # nothing caps m or s: HilbertDims's lower bounds alone
+                _check_int("m", row.m, 2)
+                _check_int("s", row.s, 3, odd=True)
+            else:
+                HilbertDims(n, row.m, row.s)
         except DimensionError as err:
-            raise EntruncError(f"data row {number}: {err}") from err
+            no_n = " (the table gives no n)" if n is None else ""
+            raise EntruncError(f"data row {number}: {err}{no_n}") from err
         if metadata.get("run_kind") == "loss" and row.s != row.m:
             raise EntruncError(f"data row {number} of a loss table must have s = m, got {record}")
         rows.append(row)

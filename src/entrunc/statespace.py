@@ -48,7 +48,7 @@ class HilbertDims:
     """Validated dimension triple (n, m, s): the one statement of the dimension rules.
 
     Sweep configurations, single-realization replays and parsed result
-    tables all check their dimensions by building one of these.
+    tables that give n all check their dimensions by building one of these.
 
     n : odd total local dimension, n = 2N + 1
     m : encoding dimension, 2 <= m <= n

@@ -320,6 +320,15 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
         assert "Traceback" not in err, name
 
 
+def test_plot_of_a_table_without_n_quotes_only_the_lower_bounds(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("# run_kind=sweep\nm,s,mean_K,captured_weight\n-4,3,1.0,0.5\n")
+    assert run_main(["plot", str(path), "--out", str(tmp_path / "x.svg")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{path}: data row 1: m must be an integer >= 2, got -4 (the table gives no n)" in err
+    assert "[2, " not in err
+
+
 def test_degenerate_window_exits_3(monkeypatch, capsys):
     # Both unitaries move the m=3 encoding levels out of the central s=3 window.
     swap = np.eye(9, dtype=complex)[:, [3, 4, 5, 0, 1, 2, 6, 7, 8]]

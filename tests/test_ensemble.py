@@ -109,6 +109,11 @@ def test_run_cell_applies_the_window_list_rules_before_drawing(monkeypatch, s_va
     assert draws == []
 
 
+def test_run_cell_names_its_own_m():
+    with pytest.raises(DimensionError, match=r"^m must be an integer in \[2, 9\], got None$"):
+        run_cell(9, None, (3,), UnitaryKind.RANDOM_CUE, RngStream(1))
+
+
 def test_run_cell_accepts_numpy_integers():
     replay = run_cell(np.int64(9), np.int64(3), (np.int64(5),), UnitaryKind.RANDOM_CUE, RngStream(4))
     assert replay == run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, RngStream(4))
@@ -123,11 +128,14 @@ def _reference_chain(n, m, s, u_a, u_b):
 @pytest.mark.parametrize("independent_ab", [True, False])
 @pytest.mark.parametrize("kind", list(UnitaryKind))
 @pytest.mark.parametrize("n, m_values", [(9, (2, 3, 4, 9)), (11, (2, 5, 6, 10, 11)),
-                                         (15, (2, 7, 8, 14, 15)), (51, (5, 38, 50, 51))])
+                                         (15, (2, 7, 8, 14, 15)), (51, (5, 20, 21, 38, 50, 51))])
 def test_window_value_depends_only_on_draw_and_dimensions(n, m_values, kind, independent_ab):
-    # The kernel walks once from s = 3, through and past the anchor m | 1, which
-    # it reads off the Gram of its own block; whichever windows are requested,
-    # each window's (K, weight) must come out bit for bit the same.
+    # The kernel grows one Gram from s = 3, through and past the anchor m | 1,
+    # which it reads off the Gram of its own block; whichever windows are
+    # requested, each window's (K, weight) must come out bit for bit the same,
+    # on either route.  The grid holds an m of each route that n admits.
+    assert ({ensemble._small_route(n, m) for m in m_values}
+            == {ensemble._small_route(n, m) for m in range(2, n + 1)} == {True, False})
     windows = tuple(range(3, n + 1, 2))
     for j in range(2):
         stream = RngStream(31).child(j)
@@ -143,6 +151,19 @@ def test_window_value_depends_only_on_draw_and_dimensions(n, m_values, kind, ind
                 assert w == pytest.approx(w_ref, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("n, m_values", [(51, (5, 13, 20, 21, 25, 38)), (201, (5, 25, 40, 41, 51))])
+def test_small_encoding_route_agrees_with_the_walk(n, m_values):
+    assert {ensemble._small_route(n, m) for m in m_values} == {True, False}
+    u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
+    windows = list(range(3, n + 1, 2))
+    for m in m_values:
+        _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
+        a, b = u_a[:, rows] * coeffs, u_b[:, cols]
+        walked, small = ensemble._walk(a @ b.T, windows), ensemble._read_small(a, b, windows)
+        for s in windows:
+            assert small[s] == pytest.approx(walked[s], rel=1e-13, abs=0), (m, s)
+
+
 def test_shared_unitary_differs_from_independent():
     base = RngStream(11)
     (_, k_ind, _), = run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, base, independent_ab=True)
@@ -156,6 +177,7 @@ def test_captured_weight_matches_exact_haar_moment():
     # is a z-test at 4 sample standard errors (k fixed before the first run),
     # so it holds for any engine that samples the same distribution.
     n, m, s_values, realizations = 21, 5, (3, 7, 11), 300
+    assert ensemble._small_route(n, m)  # the gate checks the m×m route
     base = RngStream(2024)
     weights = np.array([
         [w for _, _, w in run_cell(n, m, s_values, UnitaryKind.RANDOM_CUE, base.child(j))]

@@ -185,7 +185,7 @@ def test_headerless_csv_rejected(tmp_path):
         ("m,s,mean_K,captured_weight\n1,3,1.0,0.5\n", "data row 1: m must be "),
         ("m,s,mean_K,captured_weight\n3,1,1.0,0.5\n", "data row 1: s must be "),
         ("# run_kind=sweep\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n-4,2,1.0,0.5\n",
-         "t.csv: data row 2: m must be an integer in [2, 5], got -4"),
+         "t.csv: data row 2: m must be an integer >= 2, got -4 (the table gives no n)"),
     ],
     ids=["repeated-column", "m-above-n", "even-s", "even-n", "m-below-2", "s-below-3",
          "bad-second-row"],
