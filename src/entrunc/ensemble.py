@@ -7,18 +7,20 @@ realizations into per-(m, s) means and population standard deviations.
 Window kernel.  Per (realization, m) the state is evolved once, through its
 m encoding columns only: C = A·Bᵀ with A = U_A[:, E]·β_E and B = U_B[:, E′],
 both n×m, in O(n²m), with E, E′ and β_E read once per run from
-:func:`make_initial_state`.  Window s has weight w = tr G = tr ρ̃ and
-Schmidt number K = w²/‖G‖²_F = w²/tr ρ̃², with G = C_W·C_W† the Gram of
-its central s×s block C_W.  The windows are nested, so the kernel grows
-their Grams outward one shell (two levels) at a time from s = 3, by one of
-two routes that ``_small_route`` picks from (n, m) alone: m² ≤ 8n, fitted
-to the measured cost of both at n = 51 and n = 201.
+:func:`make_initial_state`.  Window s has the trace moments w = tr G = tr ρ̃
+(its weight) and q = tr G² = ‖G‖²_F = tr ρ̃², with G = C_W·C_W† the Gram of
+its central s×s block C_W.  Every path below yields the pair (w, q), and
+``_windows`` alone forms the Schmidt number K = w²/q from it.  The windows
+are nested, so the kernel grows their Grams outward one shell (two levels)
+at a time from s = 3, by one of two routes that ``_small_route`` picks from
+(n, m) alone: m² ≤ 8n, fitted to the measured cost of both at n = 51 and
+n = 201.
 
 * The walk keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns
   W, adds two columns per shell as a rank-2 update, and reads window s off
   its central block through ``_read``: O(n³) per m.
 * The m×m route uses that C has rank m.  With P = A_W†A_W and
-  Q = B_W†B_W, w = tr(P·Q̄) and ‖G‖²_F = tr((P·Q̄)²): one batched product
+  Q = B_W†B_W, w = tr(P·Q̄) and q = tr((P·Q̄)²): one batched product
   gives every shell's m×m increment, one cumsum sums them into every P and
   Q̄, and one batched P·Q̄ reads every window, in O(n m²) plus O(m³) per
   window.
@@ -176,17 +178,16 @@ def _draw(
 
 
 def _read(gram: np.ndarray) -> tuple[float, float]:
-    """(K, weight) of a window off the Gram G = B·B† of its unnormalized block B.
+    """(w, q) = (tr G, tr G²) of a window off the Gram G = B·B† of its unnormalized block B.
 
-    w = tr G and K = w²/‖G‖²_F; the float view sums Re² + Im².
+    G is Hermitian, so tr G² = ‖G‖²_F: the float view sums Re² + Im².
     """
-    weight = float(np.trace(gram).real)
     parts = gram.view(float)
-    return weight * weight / float(np.einsum("ij,ij->", parts, parts)), weight
+    return float(np.trace(gram).real), float(np.einsum("ij,ij->", parts, parts))
 
 
 def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
-    """(K, weight) at each window of ``wanted`` (ascending).
+    """(w, q) of ``_read`` at each window of ``wanted`` (ascending).
 
     Starts from the row Gram of window s = 3 over every row of the state and
     widens it two columns at a time; window s is its central s×s block.  The
@@ -232,16 +233,16 @@ def _shell_grams(x: np.ndarray, levels: list[int]) -> np.ndarray:
 
 
 def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
-    """(K, weight) at each window of ``wanted`` (ascending) of the state a·bᵀ of rank m.
+    """(w, q) at each window of ``wanted`` (ascending) of the state a·bᵀ of rank m.
 
     With P = A_W†A_W and Q = B_W†B_W, the window's Gram G = A_W·Q̄·A_W† has
-    w = tr G = tr(P·Q̄) and ‖G‖²_F = tr((P·Q̄)²), so every window costs O(m³).
+    w = tr G = tr(P·Q̄) and q = tr G² = tr((P·Q̄)²), so every window costs O(m³).
     """
     levels = [s // 2 for s in wanted]
     pq = _shell_grams(a, levels) @ _shell_grams(b.conj(), levels)
     weights = np.einsum("kii->k", pq).real
     squares = np.einsum("kij,kji->k", pq, pq).real
-    return {s: (w * w / q, w) for s, w, q in zip(wanted, weights.tolist(), squares.tolist())}
+    return dict(zip(wanted, zip(weights.tolist(), squares.tolist())))
 
 
 def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -258,21 +259,26 @@ def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarra
 def _windows(
     encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray
 ) -> list[tuple[int, float, float]]:
-    """(s, K, weight) of the state of one ``_encoding`` at every window (see the module doc)."""
+    """(s, K, weight) of the state of one ``_encoding`` at every window (see the module doc).
+
+    Every route yields the moments (w, q) = (tr G, tr G²) of a window's Gram;
+    K = w²/q is formed here and nowhere else.
+    """
     m, rows, cols, coeffs = encoding
     anchor = m | 1
-    evolved = (u_a[:, rows] * coeffs) @ u_b[:, cols].T  # evolve(beta, u_a, u_b)
+    walked = [s for s in s_values if s != anchor]
+    a, b = u_a[:, rows] * coeffs, u_b[:, cols]
+    evolved = a @ b.T  # evolve(beta, u_a, u_b)
+    moments = {}
+    if walked:
+        moments = _read_small(a, b, walked) if _small_route(len(evolved), m) else _walk(evolved, walked)
+    del a, b  # freed before truncate copies a block: held, they tripled a loss sweep's page faults
     truncate(evolved, s_values[0])  # the degenerate-weight rule for every window
-    values = {}
     if anchor in s_values:
         lo = (evolved.shape[0] - anchor) // 2
         block = evolved[lo:lo + anchor, lo:lo + anchor]
-        values[anchor] = _read(block @ block.conj().T)
-    walked = [s for s in s_values if s != anchor]
-    if walked:
-        values.update(_read_small(u_a[:, rows] * coeffs, u_b[:, cols], walked)
-                      if _small_route(evolved.shape[0], m) else _walk(evolved, walked))
-    return [(s, *values[s]) for s in s_values]
+        moments[anchor] = _read(block @ block.conj().T)
+    return [(s, w * w / q, w) for s, (w, q) in zip(s_values, map(moments.get, s_values))]
 
 
 def run_cell(

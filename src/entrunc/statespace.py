@@ -35,8 +35,7 @@ def _check_int(name: str, value: int, low: int, high: int | None = None, odd: bo
     float such as ``9.0`` does not).  The DimensionError message starts with
     ``name``; the CLI maps that word to its flag.
     """
-    # ``int`` first: the ABC check is many times slower, and ``truncate`` runs this per window.
-    if (not isinstance(value, (int, numbers.Integral)) or value < low
+    if (not isinstance(value, numbers.Integral) or value < low
             or (high is not None and value > high) or (odd and value % 2 == 0)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         kind = "an odd integer" if odd else "an integer"

@@ -164,6 +164,25 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
             assert small[s] == pytest.approx(walked[s], rel=1e-13, abs=0), (m, s)
 
 
+@pytest.mark.parametrize("independent_ab", [True, False])
+@pytest.mark.parametrize("kind", list(UnitaryKind))
+def test_every_window_obeys_the_weight_and_rank_bounds(kind, independent_ab):
+    # Odd and even m on both routes; every full window list also holds the anchor m | 1.
+    for n, m_values in [(9, (2, 5, 9)), (51, (13, 20, 21, 38)), (201, (40, 41, 200))]:
+        assert {ensemble._small_route(n, m) for m in m_values} == {True, False}
+        for m in m_values:
+            cell = run_cell(n, m, tuple(range(3, n + 1, 2)), kind, RngStream(5).child(m),
+                            independent_ab)
+            weights = [w for _, _, w in cell]
+            # nested windows only gain weight: the single narrowest-window truncate relies on it
+            assert all(b >= a - 1e-14 for a, b in zip(weights, weights[1:])), (n, m)
+            for s, k, w in cell:
+                assert 0 < w <= 1 + 1e-12, (n, m, s)
+                assert 1 - 1e-12 <= k <= min(m, s) * (1 + 1e-12), (n, m, s)
+            _, k_full, w_full = cell[-1]
+            assert abs(w_full - 1) <= 1e-12 and abs(k_full - m) <= 1e-12 * m, (n, m)
+
+
 def test_shared_unitary_differs_from_independent():
     base = RngStream(11)
     (_, k_ind, _), = run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, base, independent_ab=True)
