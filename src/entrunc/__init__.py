@@ -11,7 +11,7 @@ console script exposes the sweeps.
 
 # The one home of the version (pyproject.toml reads it); it tags which engine wrote a
 # result.  Assigned before the submodule imports: ``results`` reads it when imported.
-__version__ = "0.2.3"
+__version__ = "0.2.4"
 
 from . import analytics, ensemble, errors, pipeline, plotting, results, statespace, unitaries
 from .analytics import *  # noqa: F403 -- each module's __all__ is its one list of public names

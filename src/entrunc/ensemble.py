@@ -18,7 +18,10 @@ n = 201.
 
 * The walk keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns
   W, adds two columns per shell as a rank-2 update, and reads window s off
-  its central block through ``_read``: O(n³) per m.
+  its central block through ``_read``: O(n³) per m.  Each update is one
+  real (n×4)·(4×2n) product into the Gram's float view, because BLAS runs
+  a complex product with an inner dimension of 2 two to three times slower
+  (see ``_walk``).
 * The m×m route uses that C has rank m.  With P = A_W†A_W and
   Q = B_W†B_W, w = tr(P·Q̄) and q = tr((P·Q̄)²): one batched product
   gives every shell's m×m increment, one cumsum sums them into every P and
@@ -192,17 +195,37 @@ def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, floa
     Starts from the row Gram of window s = 3 over every row of the state and
     widens it two columns at a time; window s is its central s×s block.  The
     Gram at step s does not depend on ``wanted``, so neither does any value.
+
+    Each step adds p·p† for the n×2 pair p of new columns, as one real
+    (n×4)·(4×2n) product into the Gram's float view (Re and Im interleaved):
+    with ℓ_i the float row (Re p_i1, Im p_i1, Re p_i2, Im p_i2), entry 2k of
+    row i is ℓ_i·ℓ_k = Re(p_i·p̄_k) and entry 2k + 1 is
+    ℓ_i·view(i·p_k) = Im(p_i·p̄_k).  OpenBLAS serves a complex product with an
+    inner dimension of 2 poorly: at n = 201 (OpenBLAS 0.3.31, 2 cores) one
+    such step took 77 µs at one thread and 113 µs at two, the real product
+    39 µs at either.
     """
-    lo = (evolved.shape[0] - 3) // 2
+    n = evolved.shape[0]
+    lo = (n - 3) // 2
     strip = evolved[:, lo:lo + 3]
     gram = strip @ strip.conj().T
     update = np.empty_like(gram)  # reused: a fresh n×n product per step is slower
+    # both factors of every step, built once: step k (s = 2k + 5) adds columns lo − k − 1 and lo + k + 3
+    steps = np.arange(1, (wanted[-1] - 1) // 2)
+    pairs = np.take(evolved, np.stack([lo - steps, lo + 2 + steps], axis=1), axis=1)
+    rows = pairs.transpose(1, 0, 2).copy().view(float)  # (steps, n, 4): ℓ_i = p_i as floats
+    ell = rows.transpose(0, 2, 1)
+    cols = np.empty((len(steps), 4, n, 2))  # filled in place: fresh temporaries cost page faults
+    cols[..., 0] = ell
+    np.negative(ell[:, 1::2], out=cols[:, 0::2, :, 1])  # view(i·p) = (−Im p, Re p)
+    cols[:, 1::2, :, 1] = ell[:, 0::2]
+    cols = cols.reshape(len(steps), 4, 2 * n)
+    flat, step = gram.view(float), update.view(float)
     out = {}
-    for s in range(3, wanted[-1] + 1, 2):
+    for k, s in enumerate(range(3, wanted[-1] + 1, 2), -1):
         if s > 3:  # two more columns: a rank-2 update
             lo -= 1
-            pair = evolved[:, [lo, lo + s - 1]]
-            gram += np.matmul(pair, pair.conj().T, out=update)
+            flat += np.matmul(rows[k], cols[k], out=step)
         if s in wanted:
             out[s] = _read(gram[lo:lo + s, lo:lo + s])
     return out
@@ -269,10 +292,13 @@ def _windows(
     walked = [s for s in s_values if s != anchor]
     a, b = u_a[:, rows] * coeffs, u_b[:, cols]
     evolved = a @ b.T  # evolve(beta, u_a, u_b)
-    moments = {}
-    if walked:
-        moments = _read_small(a, b, walked) if _small_route(len(evolved), m) else _walk(evolved, walked)
-    del a, b  # freed before truncate copies a block: held, they tripled a loss sweep's page faults
+    small = _small_route(len(evolved), m)
+    moments = _read_small(a, b, walked) if walked and small else {}
+    # freed before the walk's factor stacks and truncate's block copy: held, they
+    # tripled a loss sweep's page faults
+    del a, b
+    if walked and not small:
+        moments = _walk(evolved, walked)
     truncate(evolved, s_values[0])  # the degenerate-weight rule for every window
     if anchor in s_values:
         lo = (evolved.shape[0] - anchor) // 2

@@ -75,3 +75,16 @@ def quadruple_sum_purity(block: np.ndarray) -> float:
 # E|U_ij|² = 1/n with Var|U_ij|² = (n−1)/(n²(n+1)); the frozen seed keeps the
 # 10⁴-sample mean deterministic and inside the 3σ band with a 2× margin.
 HAAR_MOMENT = {"n": 11, "samples": 10_000, "master_seed": 3, "entries": ((0, 0), (3, 5))}
+
+
+# --- exact annealed purity of the Haar ensemble ------------------------------
+def exact_annealed_purity(n, m, s):
+    """P_ann = ⟨tr ρ̃²⟩/⟨tr ρ̃⟩² for independent Haar U_A, U_B, from degree-2 Weingarten calculus.
+
+    P_ann = (a² + b²)/m + 2ab with a = n(sn − 1)/(s(n² − 1)) and
+    b = n(n − s)/(s(n² − 1)).  Arithmetic only, so ``fractions.Fraction``
+    arguments give the exact rational value.
+    """
+    a = n * (s * n - 1) / (s * (n * n - 1))
+    b = n * (n - s) / (s * (n * n - 1))
+    return (a * a + b * b) / m + 2 * a * b

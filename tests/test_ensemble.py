@@ -1,5 +1,6 @@
 import itertools
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from entrunc import (
     uniform_spreading_unitary,
 )
 
-from oracles import SCHMIDT_N201_S101, TINY_ENSEMBLE
+from oracles import SCHMIDT_N201_S101, TINY_ENSEMBLE, exact_annealed_purity
 
 
 # --- configuration validation ----------------------------------------------
@@ -205,6 +206,34 @@ def test_captured_weight_matches_exact_haar_moment():
     exact = np.array(s_values) ** 2 / n**2
     stderr = weights.std(axis=0, ddof=1) / np.sqrt(realizations)
     assert np.all(np.abs(weights.mean(axis=0) - exact) <= 4 * stderr)
+
+
+@pytest.mark.parametrize("n, m", [(5, 2), (9, 3), (21, 15), (51, 13), (201, 201)])
+def test_exact_annealed_purity_is_one_over_m_for_the_whole_space(n, m):
+    # At s = n nothing is truncated: a = 1, b = 0, and the state has purity 1/m exactly.
+    assert exact_annealed_purity(Fraction(n), m, n) == Fraction(1, m)
+    assert exact_annealed_purity(Fraction(n), m, 3) > Fraction(1, m)
+
+
+def test_walk_samples_the_exact_annealed_purity():
+    # P_ann = ⟨q⟩/⟨w⟩² with q = tr ρ̃² = w²/K, against its exact Haar value on the
+    # walk route.  Delta-method standard error of the ratio of means; the seed,
+    # the draw count and the 4-SE threshold were fixed before the first run.
+    n, m, s_values, realizations = 21, 15, (3, 7, 11), 2000
+    assert not ensemble._small_route(n, m)  # the gate checks the walk
+    base = RngStream(31)
+    cells = np.array([
+        [(k, w) for _, k, w in run_cell(n, m, s_values, UnitaryKind.RANDOM_CUE, base.child(j))]
+        for j in range(realizations)
+    ])
+    k, w = cells[..., 0], cells[..., 1]
+    q = w * w / k
+    q_bar, w_bar = q.mean(axis=0), w.mean(axis=0)
+    purity = q_bar / w_bar**2
+    influence = (q - q_bar) / w_bar**2 - 2 * purity * (w - w_bar) / w_bar
+    stderr = influence.std(axis=0, ddof=1) / np.sqrt(realizations)
+    exact = np.array([exact_annealed_purity(n, m, s) for s in s_values])
+    assert np.all(np.abs(purity - exact) <= 4 * stderr), (purity - exact) / stderr
 
 
 # --- frozen reference ensemble ---------------------------------------------
