@@ -4,21 +4,23 @@ A *realization* draws one pair of local unitaries and evaluates every
 requested m against it.  Ensembles aggregate the Schmidt number over
 realizations into per-(m, s) means and population standard deviations.
 
-Window kernel.  Per (realization, m) the state is evolved once, through its
-m encoding columns only: C = A·Bᵀ with A = U_A[:, E]·β_E and B = U_B[:, E′],
-both n×m, in O(n²m), with E, E′ and β_E read once per run from
-:func:`make_initial_state`.  Window s has the trace moments w = tr G = tr ρ̃
-(its weight) and q = tr G² = ‖G‖²_F = tr ρ̃², with G = C_W·C_W† the Gram of
-its central s×s block C_W.  Every path below yields the pair (w, q), and
-``_windows`` alone forms the Schmidt number K = w²/q from it.  The windows
-are nested, so the kernel grows their Grams outward one shell (two levels)
-at a time from s = 3, by one of two routes that ``_small_route`` picks from
-(n, m) alone: m² ≤ 8n, fitted to the measured cost of both at n = 51 and
-n = 201.
+Window kernel.  Per (realization, m) the state is C = A·Bᵀ with
+A = U_A[R, E]·β_E and B = U_B[R, E′], gathered once through the m encoding
+columns E, E′ (read once per run, with β_E, from :func:`make_initial_state`)
+and over the rows R that some window reads: all n rows for the walk below,
+else the central rows of the widest requested window.  Window s has the
+trace moments w = tr G = tr ρ̃ (its weight) and q = tr G² = ‖G‖²_F = tr ρ̃²,
+with G = C_W·C_W† the Gram of its central s×s block C_W.  Every path below
+yields the pair (w, q), and ``_windows`` alone forms the Schmidt number
+K = w²/q from it.  The windows are nested, so the kernel grows their Grams
+outward one shell (two levels) at a time from s = 3, by one of two routes
+that ``_small_route`` picks from (n, m) alone: m² ≤ 8n, fitted to the
+measured cost of both at n = 51 and n = 201.
 
-* The walk keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns
-  W, adds two columns per shell as a rank-2 update, and reads window s off
-  its central block through ``_read``: O(n³) per m.  Each update is one
+* The walk evolves the n×n state C in O(n²m), the only route that does,
+  keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns W, adds
+  two columns per shell as a rank-2 update, and reads window s off its
+  central block through ``_read``: O(n³) per m.  Each update is one
   real (n×4)·(4×2n) product into the Gram's float view, because BLAS runs
   a complex product with an inner dimension of 2 two to three times slower
   (see ``_walk``).
@@ -29,11 +31,14 @@ n = 201.
   window.
 
 Either route passes every requested window but the anchor s* = m | 1 (the
-smallest odd s ≥ m), which ``_read`` reads off the Gram B·B† of its own
-central block B, so a loss sweep (s = m) takes neither route and never
-builds an n×n Gram.  The engine calls ``truncate`` once per
-(realization, m), on the narrowest requested window: nested windows only
-gain weight, so that one call applies the degenerate-weight rule to all.
+smallest odd s ≥ m), which ``_read`` reads off the Gram C_W·C_W† of its own
+central block.  The engine calls ``truncate`` once per (realization, m), on
+the narrowest requested window: nested windows only gain weight, so that
+one call applies the degenerate-weight rule to all.  The anchor and the
+narrowest window each get their block from ``_block``, a product A_W·B_Wᵀ
+sized by (s, m) alone, formed before the walk evolves C (one block serves
+both when they coincide, and an s = n block serves as C).  So a loss sweep
+(s = m) takes neither route and allocates no n×n array beyond the Haar pair.
 The public chain ``truncate → reduced_purity → schmidt_number`` stays the
 single-window reference that the tests compare every window against.
 
@@ -189,6 +194,18 @@ def _read(gram: np.ndarray) -> tuple[float, float]:
     return float(np.trace(gram).real), float(np.einsum("ij,ij->", parts, parts))
 
 
+def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
+    """The central s×s block of the state a·bᵀ (a and b share their central row).
+
+    One product sized by (s, m) alone, however many rows a and b hold: BLAS
+    gives different bits for the same entries at different shapes, so a
+    block sliced off a wider product would make a window's value depend on
+    which other windows are requested.
+    """
+    i = (len(a) - s) // 2
+    return a[i:i + s] @ b[i:i + s].T
+
+
 def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
     """(w, q) of ``_read`` at each window of ``wanted`` (ascending).
 
@@ -288,22 +305,26 @@ def _windows(
     K = w²/q is formed here and nowhere else.
     """
     m, rows, cols, coeffs = encoding
-    anchor = m | 1
+    n, anchor = len(u_a), m | 1
     walked = [s for s in s_values if s != anchor]
-    a, b = u_a[:, rows] * coeffs, u_b[:, cols]
-    evolved = a @ b.T  # evolve(beta, u_a, u_b)
-    small = _small_route(len(evolved), m)
-    moments = _read_small(a, b, walked) if walked and small else {}
-    # freed before the walk's factor stacks and truncate's block copy: held, they
-    # tripled a loss sweep's page faults
+    walk = bool(walked) and not _small_route(n, m)
+    lo = 0 if walk else (n - s_values[-1]) // 2  # only the walk reads rows outside every window
+    a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
+    a *= coeffs
+    moments = _read_small(a, b, walked) if walked and not walk else {}
+    # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
+    blocks = {s: _block(a, b, s) for s in {s_values[0], anchor} & set(s_values)}
+    # evolve(beta, u_a, u_b) once every block is formed; an s = n block is this same product
+    evolved = (blocks[n] if n in blocks else a @ b.T) if walk else None
+    # freed before truncate's copy, the anchor's Gram and the walk's factor stacks:
+    # held, they cost a loss sweep a quarter more page faults
     del a, b
-    if walked and not small:
-        moments = _walk(evolved, walked)
-    truncate(evolved, s_values[0])  # the degenerate-weight rule for every window
-    if anchor in s_values:
-        lo = (evolved.shape[0] - anchor) // 2
-        block = evolved[lo:lo + anchor, lo:lo + anchor]
-        moments[anchor] = _read(block @ block.conj().T)
+    truncate(blocks[s_values[0]], s_values[0])  # the degenerate-weight rule for every window
+    if anchor in blocks:
+        moments[anchor] = _read(blocks[anchor] @ blocks[anchor].conj().T)
+    del blocks
+    if walk:
+        moments.update(_walk(evolved, walked))
     return [(s, w * w / q, w) for s, (w, q) in zip(s_values, map(moments.get, s_values))]
 
 

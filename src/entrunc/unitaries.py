@@ -76,11 +76,17 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     while True:
         source = stream if attempt == 0 else stream.child(attempt)
         rng = source.generator()
-        ginibre = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        # filled in place, the same bits as (x + 1j·y)/√2: fresh n×n temporaries cost page faults
+        ginibre = np.empty((n, n), dtype=complex)
+        ginibre.real = rng.standard_normal((n, n))
+        ginibre.imag = rng.standard_normal((n, n))
+        ginibre /= np.sqrt(2)
         q, r = np.linalg.qr(ginibre)
+        del ginibre
         diag = np.diagonal(r)
         if not np.any(np.abs(diag) == 0.0):
-            return q * (diag / np.abs(diag))
+            q *= diag / np.abs(diag)
+            return q
         attempt += 1
         logger.warning(
             "degenerate QR draw (zero diagonal) for n=%d stream=%s; retrying on sub-stream %d",

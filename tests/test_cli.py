@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import entrunc.ensemble as ensemble
 from entrunc import (
     ResultRow,
     ResultTable,
@@ -338,6 +339,20 @@ def test_degenerate_window_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("error: realization 0, m=3: truncation window s=3 captures weight") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m, s, small", [("5", "3,5", True), ("9", "3,9", False)])
+def test_degenerate_narrow_window_below_the_anchor_exits_3(monkeypatch, capsys, m, s, small):
+    # The swap of test_degenerate_window_exits_3 leaves the central s=3 window empty for
+    # every m; here that window is not the anchor m | 1, on the m×m route and on the walk.
+    assert ensemble._small_route(9, int(m)) is small
+    swap = np.eye(9, dtype=complex)[:, [3, 4, 5, 0, 1, 2, 6, 7, 8]]
+    monkeypatch.setattr("entrunc.ensemble.sample_cue", lambda n, stream: swap)
+    argv = ["sweep-random", "--n", "9", "--m", m, "--s", s, "--realizations", "2"]
+    assert run_main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count(f"error: realization 0, m={m}: truncation window s=3 captures weight") == 1
+    assert "realization 1" not in err and "Traceback" not in err
 
 
 # --- installed entry point --------------------------------------------------------

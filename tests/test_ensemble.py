@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,23 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
         walked, small = ensemble._walk(a @ b.T, windows), ensemble._read_small(a, b, windows)
         for s in windows:
             assert small[s] == pytest.approx(walked[s], rel=1e-13, abs=0), (m, s)
+
+
+def test_anchor_windows_allocate_only_the_rows_they_read():
+    # A loss-sweep m reads one central s×s block: the engine must not evolve the
+    # n×n state for it, and frees the encoding columns before that block's Gram.
+    n = 201
+    u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
+    state_bytes = n * n * np.dtype(complex).itemsize
+    for m, bound in [(51, state_bytes), (195, 3 * state_bytes)]:
+        encoding = ensemble._encoding(HilbertDims(n, m))
+        tracemalloc.start()
+        try:
+            ensemble._windows(encoding, (m,), u_a, u_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (m, peak)
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])

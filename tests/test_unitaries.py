@@ -45,6 +45,16 @@ def test_cue_is_deterministic_per_stream():
     assert not np.allclose(a, c)
 
 
+@pytest.mark.parametrize("n, seed", [(3, 0), (9, 5), (51, 7), (201, 7)])
+def test_cue_is_bit_identical_to_the_textbook_formula(n, seed):
+    # The in-place fill and phase fix must draw the same bits as the formula they replace.
+    stream = RngStream(seed, (0, 1))
+    rng = stream.generator()
+    q, r = np.linalg.qr((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2))
+    diag = np.diagonal(r)
+    np.testing.assert_array_equal(sample_cue(n, stream), q * (diag / np.abs(diag)))
+
+
 def test_cue_rejects_bad_dims():
     with pytest.raises(DimensionError):
         sample_cue(4, RngStream(0))
