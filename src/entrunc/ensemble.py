@@ -5,10 +5,10 @@ requested m against it.  Ensembles aggregate the Schmidt number over
 realizations into per-(m, s) means and population standard deviations.
 
 Window kernel.  Per (realization, m) the state is C = A·Bᵀ with
-A = U_A[R, E]·β_E and B = U_B[R, E′], gathered once through the m encoding
+A = U_A[R, E]·β_E and B = U_B[R, E′], gathered through the m encoding
 columns E, E′ (read once per run, with β_E, from :func:`make_initial_state`)
-and over the rows R that some window reads: all n rows for the walk below,
-else the central rows of the widest requested window.  Window s has the
+and over only the rows R that the windows in hand read: all n rows for the
+walk below, else the central rows of the widest of them.  Window s has the
 trace moments w = tr G = tr ρ̃ (its weight) and q = tr G² = ‖G‖²_F = tr ρ̃²,
 with G = C_W·C_W† the Gram of its central s×s block C_W.  Every path below
 yields the pair (w, q), and ``_windows`` alone forms the Schmidt number
@@ -36,21 +36,33 @@ central block.  The engine calls ``truncate`` once per (realization, m), on
 the narrowest requested window: nested windows only gain weight, so that
 one call applies the degenerate-weight rule to all.  The anchor and the
 narrowest window each get their block from ``_block``, a product A_W·B_Wᵀ
-sized by (s, m) alone, formed before the walk evolves C (one block serves
-both when they coincide, and an s = n block serves as C).  So a loss sweep
-(s = m) takes neither route and allocates no n×n array beyond the Haar pair.
-The public chain ``truncate → reduced_purity → schmidt_number`` stays the
-single-window reference that the tests compare every window against.
+sized by (s, m) alone (one block serves both when they coincide).  So a
+loss sweep (s = m) takes neither route and allocates no n×n array beyond
+the Haar pair.  The public chain ``truncate → reduced_purity →
+schmidt_number`` stays the single-window reference that the tests compare
+every window against.
+
+Chunks.  ``_collect`` draws realizations in chunks of R = ``_chunk(n)``,
+max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91.  Within a chunk only the
+walked windows are batched: ``_nested`` evolves the R states of one m into
+one stack and walks them in one call of ``_walk``, whose leading axis stacks
+the states, so each step is one batched product for the chunk.  The walk's
+buffers come from one ``_workspace`` per run, and a chunk of R > 1 keeps
+its draws in one buffer per run.  The m×m route, the anchor, the one
+``truncate`` and K = w²/q run draw by draw, the last three in realization
+order through ``_windows``.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
 drawn once, so cells of different m in one run are correlated.  A window's
 value depends only on the draw and (n, m, s), not on which other windows
 are requested, so :func:`loss_sweep` equals the diagonal of
-:func:`run_ensemble` exactly.  Realizations run one after another in index
-order, and statistics are reduced in fixed index order — so the output is
-bit-identical for a fixed master seed, numpy/BLAS build and BLAS thread
-count, and :func:`run_cell` replays any realization of any m in isolation.
+:func:`run_ensemble` exactly; nor on the chunk it ran in, since a batched
+product makes per draw the BLAS call a lone draw makes.  Realizations are
+drawn in index order, and statistics are reduced in fixed index order — so
+the output is bit-identical for a fixed master seed, numpy/BLAS build and
+BLAS thread count, and :func:`run_cell` replays any realization of any m in
+isolation.
 Runs log a progress line with rate and ETA at most every
 ``PROGRESS_EVERY_S`` seconds.  The ``workers`` argument of
 :func:`run_ensemble` and :func:`loss_sweep` is accepted for compatibility
@@ -185,13 +197,14 @@ def _draw(
     return u_a, sample_cue(n, stream.child(1)) if independent_ab else u_a
 
 
-def _read(gram: np.ndarray) -> tuple[float, float]:
+def _read(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, q) = (tr G, tr G²) of a window off the Gram G = B·B† of its unnormalized block B.
 
-    G is Hermitian, so tr G² = ‖G‖²_F: the float view sums Re² + Im².
+    G is Hermitian, so tr G² = ‖G‖²_F: the float view sums Re² + Im².  Leading
+    axes of ``gram`` stack Grams; w and q carry those axes.
     """
     parts = gram.view(float)
-    return float(np.trace(gram).real), float(np.einsum("ij,ij->", parts, parts))
+    return np.trace(gram, axis1=-2, axis2=-1).real, np.einsum("...ij,...ij->...", parts, parts)
 
 
 def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
@@ -206,8 +219,38 @@ def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
     return a[i:i + s] @ b[i:i + s].T
 
 
-def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
-    """(w, q) of ``_read`` at each window of ``wanted`` (ascending).
+class _Workspace(NamedTuple):
+    """The walk's buffers: its row Gram, the update, and the row and column factors of every step."""
+
+    gram: np.ndarray
+    update: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def _workspace(lead: tuple[int, ...], n: int, widest: int) -> _Workspace:
+    """Buffers for walks of ``lead`` stacked n×n states up to window ``widest``.
+
+    ``_collect`` keeps one per run: fresh factor stacks cost every walk their
+    page faults again.
+    """
+    gram = np.empty(lead + (n, n), complex)
+    steps = (widest - 3) // 2
+    return _Workspace(gram, np.empty_like(gram), np.empty(lead + (steps, n, 4)),
+                      np.empty(lead + (steps, 4, 2 * n)))
+
+
+def _walk(
+    evolved: np.ndarray, wanted: list[int], workspace: _Workspace | None = None
+) -> dict[int, tuple]:
+    """(w, q) of ``_read`` at each window of ``wanted`` (ascending) of the n×n state ``evolved``.
+
+    Leading axes of ``evolved`` stack states, walked together: each step is one
+    batched product for all of them.  Returns floats for one state and lists
+    over the stack for a stack of R states.  ``workspace`` (from
+    ``_workspace``, for at least R states and window ``wanted[-1]``) is used
+    in place of fresh buffers; its ``update`` may hold ``evolved`` itself,
+    which is read only before the first step.
 
     Starts from the row Gram of window s = 3 over every row of the state and
     widens it two columns at a time; window s is its central s×s block.  The
@@ -222,30 +265,32 @@ def _walk(evolved: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, floa
     such step took 77 µs at one thread and 113 µs at two, the real product
     39 µs at either.
     """
-    n = evolved.shape[0]
+    n, lead = evolved.shape[-1], evolved.shape[:-2]
+    steps = (wanted[-1] - 3) // 2
+    gram, update, rows, cols = (x[tuple(map(slice, lead))]  # the first R of a chunk's buffers
+                                for x in workspace or _workspace(lead, n, wanted[-1]))
+    rows, cols = rows[..., :steps, :, :], cols[..., :steps, :, :]
     lo = (n - 3) // 2
-    strip = evolved[:, lo:lo + 3]
-    gram = strip @ strip.conj().T
-    update = np.empty_like(gram)  # reused: a fresh n×n product per step is slower
-    # both factors of every step, built once: step k (s = 2k + 5) adds columns lo − k − 1 and lo + k + 3
-    steps = np.arange(1, (wanted[-1] - 1) // 2)
-    pairs = np.take(evolved, np.stack([lo - steps, lo + 2 + steps], axis=1), axis=1)
-    rows = pairs.transpose(1, 0, 2).copy().view(float)  # (steps, n, 4): ℓ_i = p_i as floats
-    ell = rows.transpose(0, 2, 1)
-    cols = np.empty((len(steps), 4, n, 2))  # filled in place: fresh temporaries cost page faults
-    cols[..., 0] = ell
-    np.negative(ell[:, 1::2], out=cols[:, 0::2, :, 1])  # view(i·p) = (−Im p, Re p)
-    cols[:, 1::2, :, 1] = ell[:, 0::2]
-    cols = cols.reshape(len(steps), 4, 2 * n)
+    strip = evolved[..., lo:lo + 3]
+    np.matmul(strip, strip.conj().swapaxes(-1, -2), out=gram)
+    # both factors of every step, filled in place: step k adds columns lo − k − 1 and lo + k + 3
+    pairs = rows.view(complex)  # (..., steps, n, 2): ℓ_i = p_i as floats
+    pairs[..., 0] = evolved[..., lo - steps:lo][..., ::-1].swapaxes(-1, -2)
+    pairs[..., 1] = evolved[..., lo + 3:lo + 3 + steps].swapaxes(-1, -2)
+    ell = rows.swapaxes(-1, -2)
+    both = cols.reshape(cols.shape[:-1] + (n, 2))  # a view: entries 2k and 2k + 1 of each column row
+    both[..., 0] = ell
+    np.negative(ell[..., 1::2, :], out=both[..., 0::2, :, 1])  # view(i·p) = (−Im p, Re p)
+    both[..., 1::2, :, 1] = ell[..., 0::2, :]
     flat, step = gram.view(float), update.view(float)
     out = {}
     for k, s in enumerate(range(3, wanted[-1] + 1, 2), -1):
         if s > 3:  # two more columns: a rank-2 update
             lo -= 1
-            flat += np.matmul(rows[k], cols[k], out=step)
+            flat += np.matmul(rows[..., k, :, :], cols[..., k, :, :], out=step)
         if s in wanted:
-            out[s] = _read(gram[lo:lo + s, lo:lo + s])
-    return out
+            out[s] = _read(gram[..., lo:lo + s, lo:lo + s])
+    return {s: (w.tolist(), q.tolist()) for s, (w, q) in out.items()}
 
 
 def _small_route(n: int, m: int) -> bool:
@@ -256,6 +301,12 @@ def _small_route(n: int, m: int) -> bool:
     and m² = 10n at one BLAS thread, and later at two.
     """
     return m * m <= 8 * n
+
+
+def _route(n: int, m: int, s_values: tuple[int, ...]) -> tuple[list[int], bool]:
+    """(nested, walk): every window but the anchor m | 1, and whether ``_walk`` reads them."""
+    nested = [s for s in s_values if s != m | 1]
+    return nested, bool(nested) and not _small_route(n, m)
 
 
 def _shell_grams(x: np.ndarray, levels: list[int]) -> np.ndarray:
@@ -296,35 +347,62 @@ def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarra
     return dims.m, rows, cols, beta[rows, cols]
 
 
+def _nested(
+    encoding: tuple, s_values: tuple[int, ...], pairs: list[tuple[np.ndarray, np.ndarray]],
+    workspace: _Workspace | None = None,
+) -> list[dict[int, tuple[float, float]]]:
+    """(w, q) of every window but the anchor, per (U_A, U_B) draw of ``pairs``.
+
+    The R draws walk together, through one call of ``_walk`` on the stack of
+    their evolved states, which ``workspace`` (for at least R states) holds;
+    without it the walk allocates its own.
+    """
+    m, rows, cols, coeffs = encoding
+    n = len(pairs[0][0])
+    nested, walk = _route(n, m, s_values)
+    if not nested:
+        return [{} for _ in pairs]
+    if not walk:  # one draw at a time: stacked, its Grams cost more in page faults than in calls
+        lo = (n - nested[-1]) // 2  # only the walk reads rows outside every window
+        return [_read_small(u_a[lo:n - lo, rows] * coeffs, u_b[lo:n - lo, cols], nested)
+                for u_a, u_b in pairs]
+    workspace = workspace or _workspace((len(pairs),), n, nested[-1])
+    evolved = workspace.update[:len(pairs)]
+    for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
+        a = u_a[:, rows]
+        a *= coeffs
+        np.matmul(a, u_b[:, cols].T, out=state)
+    moments = _walk(evolved, nested, workspace)
+    return [{s: (w[r], q[r]) for s, (w, q) in moments.items()} for r in range(len(pairs))]
+
+
 def _windows(
-    encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray
+    encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray,
+    nested: dict[int, tuple[float, float]] | None = None,
 ) -> list[tuple[int, float, float]]:
     """(s, K, weight) of the state of one ``_encoding`` at every window (see the module doc).
 
-    Every route yields the moments (w, q) = (tr G, tr G²) of a window's Gram;
-    K = w²/q is formed here and nowhere else.
+    ``nested`` holds this draw's (w, q) from ``_nested``, which is called here
+    when it is not given.  Every route yields the moments (w, q) = (tr G, tr G²)
+    of a window's Gram; K = w²/q is formed here and nowhere else.
     """
+    if nested is None:
+        nested, = _nested(encoding, s_values, [(u_a, u_b)])
     m, rows, cols, coeffs = encoding
     n, anchor = len(u_a), m | 1
-    walked = [s for s in s_values if s != anchor]
-    walk = bool(walked) and not _small_route(n, m)
-    lo = 0 if walk else (n - s_values[-1]) // 2  # only the walk reads rows outside every window
+    # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
+    reads = {s_values[0], anchor} & set(s_values)
+    lo = (n - max(reads)) // 2
     a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
     a *= coeffs
-    moments = _read_small(a, b, walked) if walked and not walk else {}
-    # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
-    blocks = {s: _block(a, b, s) for s in {s_values[0], anchor} & set(s_values)}
-    # evolve(beta, u_a, u_b) once every block is formed; an s = n block is this same product
-    evolved = (blocks[n] if n in blocks else a @ b.T) if walk else None
-    # freed before truncate's copy, the anchor's Gram and the walk's factor stacks:
-    # held, they cost a loss sweep a quarter more page faults
+    blocks = {s: _block(a, b, s) for s in reads}
+    # freed before truncate's copy and the anchor's Gram: held, they cost a
+    # loss sweep a quarter more page faults
     del a, b
     truncate(blocks[s_values[0]], s_values[0])  # the degenerate-weight rule for every window
+    moments = dict(nested)
     if anchor in blocks:
-        moments[anchor] = _read(blocks[anchor] @ blocks[anchor].conj().T)
-    del blocks
-    if walk:
-        moments.update(_walk(evolved, walked))
+        moments[anchor] = tuple(map(float, _read(blocks[anchor] @ blocks[anchor].conj().T)))
     return [(s, w * w / q, w) for s, (w, q) in zip(s_values, map(moments.get, s_values))]
 
 
@@ -346,6 +424,15 @@ def run_cell(
                     *_draw(n, unitary_kind, stream, independent_ab))
 
 
+def _chunk(n: int) -> int:
+    """Realizations drawn and evaluated together: about 2¹⁴ state entries, one draw from n = 91.
+
+    At small n the window kernels cost their numpy call overhead more than
+    their arithmetic, and one call serves a whole chunk.
+    """
+    return max(1, 2**14 // (n * n))
+
+
 def _collect(
     config: SweepConfig, windows: list[tuple[int, ...]]
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -354,31 +441,50 @@ def _collect(
     ``windows[i]`` are the windows of ``config.m_values[i]``, equally many for
     every m.  Realization j draws its pair once (one draw, stream unused, for
     the deterministic uniform kind) and evaluates every m against it.
-    Returns the number of realizations run and the mean K, the population
-    std of K and the mean captured weight, each of shape
+    Realizations run in chunks of ``_chunk(n)``: a chunk draws its pairs in
+    index order, passes the nested windows of each m through ``_nested`` at
+    once, then finishes realization by realization, m by m, through
+    ``_windows`` (so ``truncate``, its errors and the progress lines keep
+    realization order).  Returns the number of realizations run and the mean
+    K, the population std of K and the mean captured weight, each of shape
     (len(config.m_values), len(windows[0])).
     """
+    n = config.n
     draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations
-    encodings = [_encoding(HilbertDims(config.n, m)) for m in config.m_values]
+    encodings = [_encoding(HilbertDims(n, m)) for m in config.m_values]
     k_values = np.empty((draws, len(windows), len(windows[0])))
     weights = np.empty_like(k_values)
+    chunk = min(draws, _chunk(n))
+    routes = [_route(n, m, s_values) for m, s_values in zip(config.m_values, windows)]
+    widest = max((walked[-1] for walked, walk in routes if walk), default=0)  # the longest walk
+    workspace = _workspace((chunk,), n, widest) if widest else None
+    held = np.empty((chunk, 2, n, n), complex) if chunk > 1 else None  # one draw is used as drawn
     base = RngStream(config.master_seed)
     start = reported = monotonic()
-    for j in range(draws):
-        u_a, u_b = _draw(config.n, config.unitary_kind, base.child(j), config.independent_ab)
-        for i, (encoding, s_values) in enumerate(zip(encodings, windows)):
-            try:
-                row = _windows(encoding, s_values, u_a, u_b)
-            except DegenerateTruncationError as err:
-                raise DegenerateTruncationError(f"realization {j}, m={encoding[0]}: {err}") from err
-            _, k_values[j, i], weights[j, i] = zip(*row)
-        del u_a, u_b  # free this pair before the next draw allocates its own
-        now = monotonic()
-        if now - reported >= PROGRESS_EVERY_S:
-            reported, rate = now, (j + 1) / (now - start)
-            logger.info("realization %d/%d, %.2f/s, ETA %.0f s",
-                        j + 1, draws, rate, (draws - j - 1) / rate)
-    logger.debug("n=%d: %d realization(s) over %d m value(s)", config.n, draws, len(encodings))
+    for first in range(0, draws, chunk):
+        pairs = []
+        for r, j in enumerate(range(first, min(first + chunk, draws))):
+            pair = _draw(n, config.unitary_kind, base.child(j), config.independent_ab)
+            if held is not None:  # kept for the run: a chunk's freed draws cost page faults again
+                held[r, 0], held[r, 1] = pair
+                pair = held[r, 0], held[r, 1]
+            pairs.append(pair)
+        nested = [_nested(encoding, s_values, pairs, workspace)
+                  for encoding, s_values in zip(encodings, windows)]
+        for j, ((u_a, u_b), *moments) in enumerate(zip(pairs, *nested), first):
+            for i, (encoding, s_values) in enumerate(zip(encodings, windows)):
+                try:
+                    row = _windows(encoding, s_values, u_a, u_b, moments[i])
+                except DegenerateTruncationError as err:
+                    raise DegenerateTruncationError(f"realization {j}, m={encoding[0]}: {err}") from err
+                _, k_values[j, i], weights[j, i] = zip(*row)
+            now = monotonic()
+            if now - reported >= PROGRESS_EVERY_S:
+                reported, rate = now, (j + 1) / (now - start)
+                logger.info("realization %d/%d, %.2f/s, ETA %.0f s",
+                            j + 1, draws, rate, (draws - j - 1) / rate)
+        del pair, pairs, u_a, u_b  # free a lone draw before the next one allocates its own
+    logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(encodings))
     return draws, k_values.mean(axis=0), k_values.std(axis=0), weights.mean(axis=0)
 
 

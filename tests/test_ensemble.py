@@ -355,6 +355,58 @@ def test_sweeps_equal_stacked_run_cell_replays(kind, independent_ab):
         assert p.mean_loss == p.m - mean_k
 
 
+@pytest.mark.parametrize("independent_ab", [True, False])
+@pytest.mark.parametrize("kind", list(UnitaryKind))
+def test_sweeps_across_chunk_boundaries_equal_stacked_run_cell_replays(kind, independent_ab):
+    # 13 draws at n = 51 run as chunks of 6 + 6 + 1, one m on each route.
+    config = SweepConfig(n=51, m_values=(13, 38), s_values=tuple(range(3, 52, 2)),
+                         unitary_kind=kind, realizations=13, master_seed=29,
+                         independent_ab=independent_ab)
+    assert ensemble._chunk(config.n) == 6
+    assert [ensemble._small_route(config.n, m) for m in config.m_values] == [True, False]
+    stats = run_ensemble(config)
+    for i, m in enumerate(config.m_values):
+        mean_k, std_k, mean_w = _replayed(config, m, config.s_values)
+        assert np.array_equal(stats.mean_K[i], mean_k)
+        assert np.array_equal(stats.std_K[i], std_k)
+        assert np.array_equal(stats.mean_captured_weight[i], mean_w)
+
+
+def test_stacked_walk_equals_one_state_at_a_time():
+    # Leading axes stack states; each value must equal the one-state walk bit for bit.
+    n, m = 51, 38
+    windows = [s for s in range(3, n + 1, 2) if s != m | 1]
+    _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
+    evolved = []
+    for j in range(4):
+        u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(3).child(j), True)
+        evolved.append((u_a[:, rows] * coeffs) @ u_b[:, cols].T)
+    stacked = ensemble._walk(np.stack(evolved), windows)
+    for r, state in enumerate(evolved):
+        single = ensemble._walk(state, windows)
+        assert {s: (w[r], q[r]) for s, (w, q) in stacked.items()} == single, r
+
+
+def test_walk_reuses_its_workspace():
+    # A walk over a warm workspace allocates no n×n array: the Gram, the update
+    # and the factor stacks of every step are the workspace's.
+    n, m = 201, 201
+    u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
+    _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
+    evolved = (u_a[:, rows] * coeffs) @ u_b[:, cols].T
+    windows = list(range(3, n, 2))  # every window but the anchor s = n
+    workspace = ensemble._workspace((), n, windows[-1])
+    first = ensemble._walk(evolved, windows, workspace)
+    tracemalloc.start()
+    try:
+        second = ensemble._walk(evolved, windows, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < n * n * np.dtype(complex).itemsize, peak
+
+
 def test_each_realization_draws_its_pair_once(monkeypatch):
     calls = []
 
