@@ -47,10 +47,10 @@ max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91.  Within a chunk only the
 walked windows are batched: ``_nested`` evolves the R states of one m into
 one stack and walks them in one call of ``_walk``, whose leading axis stacks
 the states, so each step is one batched product for the chunk.  The walk's
-buffers come from one ``_workspace`` per run, and a chunk of R > 1 keeps
-its draws in one buffer per run.  The m×m route, the anchor, the one
-``truncate`` and K = w²/q run draw by draw, the last three in realization
-order through ``_windows``.
+buffers come from one ``_workspace`` per run.  The m×m route, the anchor,
+the one ``truncate`` and K = w²/q run draw by draw, the last three in
+realization order through ``_windows``.  :func:`run_cell` makes the same
+``_nested`` and ``_windows`` calls for a chunk of one draw.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
@@ -228,29 +228,28 @@ class _Workspace(NamedTuple):
     cols: np.ndarray
 
 
-def _workspace(lead: tuple[int, ...], n: int, widest: int) -> _Workspace:
-    """Buffers for walks of ``lead`` stacked n×n states up to window ``widest``.
+def _workspace(count: int, n: int, widest: int) -> _Workspace:
+    """Buffers for walks of up to ``count`` stacked n×n states up to window ``widest``.
 
     ``_collect`` keeps one per run: fresh factor stacks cost every walk their
     page faults again.
     """
-    gram = np.empty(lead + (n, n), complex)
+    gram = np.empty((count, n, n), complex)
     steps = (widest - 3) // 2
-    return _Workspace(gram, np.empty_like(gram), np.empty(lead + (steps, n, 4)),
-                      np.empty(lead + (steps, 4, 2 * n)))
+    return _Workspace(gram, np.empty_like(gram), np.empty((count, steps, n, 4)),
+                      np.empty((count, steps, 4, 2 * n)))
 
 
 def _walk(
-    evolved: np.ndarray, wanted: list[int], workspace: _Workspace | None = None
-) -> dict[int, tuple]:
-    """(w, q) of ``_read`` at each window of ``wanted`` (ascending) of the n×n state ``evolved``.
+    evolved: np.ndarray, wanted: list[int], workspace: _Workspace
+) -> list[dict[int, tuple[float, float]]]:
+    """(w, q) of ``_read`` at each window of ``wanted`` (ascending), one dict per state.
 
-    Leading axes of ``evolved`` stack states, walked together: each step is one
-    batched product for all of them.  Returns floats for one state and lists
-    over the stack for a stack of R states.  ``workspace`` (from
-    ``_workspace``, for at least R states and window ``wanted[-1]``) is used
-    in place of fresh buffers; its ``update`` may hold ``evolved`` itself,
-    which is read only before the first step.
+    ``evolved`` is an (R, n, n) stack of states, walked together: each step is
+    one batched product for all of them.  The walk's buffers are those of
+    ``workspace`` (from ``_workspace``, for at least R states and window
+    ``wanted[-1]``); its ``update`` may hold ``evolved`` itself, which is read
+    only before the first step.
 
     Starts from the row Gram of window s = 3 over every row of the state and
     widens it two columns at a time; window s is its central s×s block.  The
@@ -265,16 +264,15 @@ def _walk(
     such step took 77 µs at one thread and 113 µs at two, the real product
     39 µs at either.
     """
-    n, lead = evolved.shape[-1], evolved.shape[:-2]
+    count, n = len(evolved), evolved.shape[-1]
     steps = (wanted[-1] - 3) // 2
-    gram, update, rows, cols = (x[tuple(map(slice, lead))]  # the first R of a chunk's buffers
-                                for x in workspace or _workspace(lead, n, wanted[-1]))
-    rows, cols = rows[..., :steps, :, :], cols[..., :steps, :, :]
+    gram, update = workspace.gram[:count], workspace.update[:count]
+    rows, cols = workspace.rows[:count, :steps], workspace.cols[:count, :steps]
     lo = (n - 3) // 2
     strip = evolved[..., lo:lo + 3]
     np.matmul(strip, strip.conj().swapaxes(-1, -2), out=gram)
     # both factors of every step, filled in place: step k adds columns lo − k − 1 and lo + k + 3
-    pairs = rows.view(complex)  # (..., steps, n, 2): ℓ_i = p_i as floats
+    pairs = rows.view(complex)  # (R, steps, n, 2): ℓ_i = p_i as floats
     pairs[..., 0] = evolved[..., lo - steps:lo][..., ::-1].swapaxes(-1, -2)
     pairs[..., 1] = evolved[..., lo + 3:lo + 3 + steps].swapaxes(-1, -2)
     ell = rows.swapaxes(-1, -2)
@@ -287,10 +285,10 @@ def _walk(
     for k, s in enumerate(range(3, wanted[-1] + 1, 2), -1):
         if s > 3:  # two more columns: a rank-2 update
             lo -= 1
-            flat += np.matmul(rows[..., k, :, :], cols[..., k, :, :], out=step)
+            flat += np.matmul(rows[:, k], cols[:, k], out=step)
         if s in wanted:
-            out[s] = _read(gram[..., lo:lo + s, lo:lo + s])
-    return {s: (w.tolist(), q.tolist()) for s, (w, q) in out.items()}
+            out[s] = [x.tolist() for x in _read(gram[:, lo:lo + s, lo:lo + s])]
+    return [{s: (w[r], q[r]) for s, (w, q) in out.items()} for r in range(count)]
 
 
 def _small_route(n: int, m: int) -> bool:
@@ -355,7 +353,7 @@ def _nested(
 
     The R draws walk together, through one call of ``_walk`` on the stack of
     their evolved states, which ``workspace`` (for at least R states) holds;
-    without it the walk allocates its own.
+    without it one is allocated for this call.
     """
     m, rows, cols, coeffs = encoding
     n = len(pairs[0][0])
@@ -366,28 +364,25 @@ def _nested(
         lo = (n - nested[-1]) // 2  # only the walk reads rows outside every window
         return [_read_small(u_a[lo:n - lo, rows] * coeffs, u_b[lo:n - lo, cols], nested)
                 for u_a, u_b in pairs]
-    workspace = workspace or _workspace((len(pairs),), n, nested[-1])
+    workspace = workspace or _workspace(len(pairs), n, nested[-1])
     evolved = workspace.update[:len(pairs)]
     for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
         a = u_a[:, rows]
         a *= coeffs
         np.matmul(a, u_b[:, cols].T, out=state)
-    moments = _walk(evolved, nested, workspace)
-    return [{s: (w[r], q[r]) for s, (w, q) in moments.items()} for r in range(len(pairs))]
+    return _walk(evolved, nested, workspace)
 
 
 def _windows(
     encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray,
-    nested: dict[int, tuple[float, float]] | None = None,
+    nested: dict[int, tuple[float, float]],
 ) -> list[tuple[int, float, float]]:
     """(s, K, weight) of the state of one ``_encoding`` at every window (see the module doc).
 
-    ``nested`` holds this draw's (w, q) from ``_nested``, which is called here
-    when it is not given.  Every route yields the moments (w, q) = (tr G, tr G²)
-    of a window's Gram; K = w²/q is formed here and nowhere else.
+    ``nested`` holds this draw's (w, q) from ``_nested``.  Every route yields
+    the moments (w, q) = (tr G, tr G²) of a window's Gram; K = w²/q is formed
+    here and nowhere else.
     """
-    if nested is None:
-        nested, = _nested(encoding, s_values, [(u_a, u_b)])
     m, rows, cols, coeffs = encoding
     n, anchor = len(u_a), m | 1
     # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
@@ -420,8 +415,9 @@ def run_cell(
     """
     dims = HilbertDims(n, m)  # names m itself, not the config's m_values
     config = SweepConfig(n, (m,), s_values)  # every rule is checked before the pair is drawn
-    return _windows(_encoding(dims), config.s_values,
-                    *_draw(n, unitary_kind, stream, independent_ab))
+    encoding, pair = _encoding(dims), _draw(n, unitary_kind, stream, independent_ab)
+    nested, = _nested(encoding, config.s_values, [pair])  # as ``_collect`` does for a chunk of one
+    return _windows(encoding, config.s_values, *pair, nested)
 
 
 def _chunk(n: int) -> int:
@@ -457,18 +453,12 @@ def _collect(
     chunk = min(draws, _chunk(n))
     routes = [_route(n, m, s_values) for m, s_values in zip(config.m_values, windows)]
     widest = max((walked[-1] for walked, walk in routes if walk), default=0)  # the longest walk
-    workspace = _workspace((chunk,), n, widest) if widest else None
-    held = np.empty((chunk, 2, n, n), complex) if chunk > 1 else None  # one draw is used as drawn
+    workspace = _workspace(chunk, n, widest) if widest else None
     base = RngStream(config.master_seed)
     start = reported = monotonic()
     for first in range(0, draws, chunk):
-        pairs = []
-        for r, j in enumerate(range(first, min(first + chunk, draws))):
-            pair = _draw(n, config.unitary_kind, base.child(j), config.independent_ab)
-            if held is not None:  # kept for the run: a chunk's freed draws cost page faults again
-                held[r, 0], held[r, 1] = pair
-                pair = held[r, 0], held[r, 1]
-            pairs.append(pair)
+        pairs = [_draw(n, config.unitary_kind, base.child(j), config.independent_ab)
+                 for j in range(first, min(first + chunk, draws))]
         nested = [_nested(encoding, s_values, pairs, workspace)
                   for encoding, s_values in zip(encodings, windows)]
         for j, ((u_a, u_b), *moments) in enumerate(zip(pairs, *nested), first):
@@ -483,7 +473,7 @@ def _collect(
                 reported, rate = now, (j + 1) / (now - start)
                 logger.info("realization %d/%d, %.2f/s, ETA %.0f s",
                             j + 1, draws, rate, (draws - j - 1) / rate)
-        del pair, pairs, u_a, u_b  # free a lone draw before the next one allocates its own
+        del pairs, u_a, u_b  # free a lone draw before the next one allocates its own
     logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(encodings))
     return draws, k_values.mean(axis=0), k_values.std(axis=0), weights.mean(axis=0)
 

@@ -161,7 +161,8 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
     for m in m_values:
         _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
         a, b = u_a[:, rows] * coeffs, u_b[:, cols]
-        walked, small = ensemble._walk(a @ b.T, windows), ensemble._read_small(a, b, windows)
+        walked, = ensemble._walk((a @ b.T)[None], windows, ensemble._workspace(1, n, n))
+        small = ensemble._read_small(a, b, windows)
         for s in windows:
             assert small[s] == pytest.approx(walked[s], rel=1e-13, abs=0), (m, s)
 
@@ -176,7 +177,7 @@ def test_anchor_windows_allocate_only_the_rows_they_read():
         encoding = ensemble._encoding(HilbertDims(n, m))
         tracemalloc.start()
         try:
-            ensemble._windows(encoding, (m,), u_a, u_b)
+            ensemble._windows(encoding, (m,), u_a, u_b, {})  # s = m is the anchor: nothing nested
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -381,10 +382,10 @@ def test_stacked_walk_equals_one_state_at_a_time():
     for j in range(4):
         u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(3).child(j), True)
         evolved.append((u_a[:, rows] * coeffs) @ u_b[:, cols].T)
-    stacked = ensemble._walk(np.stack(evolved), windows)
+    stacked = ensemble._walk(np.stack(evolved), windows, ensemble._workspace(4, n, windows[-1]))
     for r, state in enumerate(evolved):
-        single = ensemble._walk(state, windows)
-        assert {s: (w[r], q[r]) for s, (w, q) in stacked.items()} == single, r
+        single, = ensemble._walk(state[None], windows, ensemble._workspace(1, n, windows[-1]))
+        assert stacked[r] == single, r
 
 
 def test_walk_reuses_its_workspace():
@@ -393,9 +394,9 @@ def test_walk_reuses_its_workspace():
     n, m = 201, 201
     u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
     _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
-    evolved = (u_a[:, rows] * coeffs) @ u_b[:, cols].T
+    evolved = ((u_a[:, rows] * coeffs) @ u_b[:, cols].T)[None]
     windows = list(range(3, n, 2))  # every window but the anchor s = n
-    workspace = ensemble._workspace((), n, windows[-1])
+    workspace = ensemble._workspace(1, n, windows[-1])
     first = ensemble._walk(evolved, windows, workspace)
     tracemalloc.start()
     try:
@@ -405,6 +406,33 @@ def test_walk_reuses_its_workspace():
         tracemalloc.stop()
     assert second == first
     assert peak < n * n * np.dtype(complex).itemsize, peak
+
+
+def test_each_run_allocates_at_most_one_walk_workspace(monkeypatch):
+    # The chunks of a run share one workspace; a run that walks no window allocates none.
+    calls, workspace = [], ensemble._workspace
+
+    def counted(*args):
+        calls.append(args)
+        return workspace(*args)
+
+    monkeypatch.setattr(ensemble, "_workspace", counted)
+    windows = tuple(range(3, 52, 2))
+    common = dict(n=51, realizations=13, master_seed=29)  # chunks of 6 + 6 + 1
+    assert ensemble._chunk(51) == 6
+    for config, run, small, expected in [
+        (SweepConfig(m_values=(13, 38), s_values=windows, **common), run_ensemble,
+         [True, False], 1),
+        # walk-route m, but each loss window s = m is its anchor, which no walk reads
+        (SweepConfig(m_values=(13, 37, 51), s_values=(13, 37, 51), **common), loss_sweep,
+         [True, False, False], 0),
+        (SweepConfig(m_values=(5, 13, 20), s_values=windows, **common), run_ensemble,
+         [True, True, True], 0),
+    ]:
+        assert [ensemble._small_route(config.n, m) for m in config.m_values] == small
+        calls.clear()
+        run(config)
+        assert len(calls) == expected, config
 
 
 def test_each_realization_draws_its_pair_once(monkeypatch):
