@@ -6,7 +6,7 @@ realizations into per-(m, s) means and population standard deviations.
 
 Window kernel.  Per (realization, m) the state is C = A·Bᵀ with
 A = U_A[R, E]·β_E and B = U_B[R, E′], gathered through the m encoding
-columns E, E′ (read once per run, with β_E, from :func:`make_initial_state`)
+columns E, E′ (read once per run, with β_E, from the sparse definition of β)
 and over only the rows R that the windows in hand read: all n rows for the
 walk below, else the central rows of the widest of them.  Window s has the
 trace moments w = tr G = tr ρ̃ (its weight) and q = tr G² = ‖G‖²_F = tr ρ̃²,
@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError
 from .pipeline import truncate
-from .statespace import HilbertDims, _check_int, make_initial_state
+from .statespace import HilbertDims, _check_int, _encoding_entries
 from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
 
 __all__ = [
@@ -337,12 +337,10 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> dict[int, tu
 def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(m, rows, cols, β[rows, cols]): the m nonzero entries of ``make_initial_state(dims)``.
 
-    Read once per run and m: allocating and scanning the mostly-zero n×n β
-    for every realization was a measurable share of a loss sweep.
+    Read once per run and m off the sparse definition of β: scanning the
+    mostly-zero dense β costs over ten times as much as building it.
     """
-    beta = make_initial_state(dims)
-    rows, cols = np.nonzero(beta)
-    return dims.m, rows, cols, beta[rows, cols]
+    return (dims.m, *_encoding_entries(dims))
 
 
 def _nested(

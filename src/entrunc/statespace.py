@@ -86,6 +86,18 @@ def parity_flag(m: int) -> float:
     return 1.0 if m % 2 == 0 else 0.0
 
 
+def _encoding_entries(dims: HilbertDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values): the m nonzero entries of β in row order, its one definition.
+
+    Level q of A pairs with level −q of B for |q| ≤ M, each with coefficient
+    1/√m; for even m the parity term removes the centre q = 0.
+    """
+    q = np.arange(-dims.encoding_half_width, dims.encoding_half_width + 1)
+    if parity_flag(dims.m):
+        q = q[q != 0]
+    return q + dims.half_width, dims.half_width - q, np.full(dims.m, 1.0 / np.sqrt(dims.m), dtype=complex)
+
+
 def make_initial_state(dims: HilbertDims) -> np.ndarray:
     """Coefficient matrix of the maximally entangled encoding state.
 
@@ -93,11 +105,7 @@ def make_initial_state(dims: HilbertDims) -> np.ndarray:
     magnitude 1/√m on the anti-diagonal r = −q, Frobenius norm 1, and reduced
     purity 1/m.
     """
-    n, m = dims.n, dims.m
-    big_n, big_m = dims.half_width, dims.encoding_half_width
-    beta = np.zeros((n, n), dtype=complex)
-    q = np.arange(-big_m, big_m + 1)
-    beta[q + big_n, -q + big_n] = 1.0 / np.sqrt(m)
-    # Even m: the parity term cancels the central |0,0> contribution exactly.
-    beta[big_n, big_n] -= parity_flag(m) / np.sqrt(m)
+    rows, cols, values = _encoding_entries(dims)
+    beta = np.zeros((dims.n, dims.n), dtype=complex)
+    beta[rows, cols] = values
     return beta

@@ -5,12 +5,16 @@ Unitaries use the same level-to-offset convention as the state matrices
 unitary ensemble (Haar measure) via QR decomposition of a complex Ginibre
 matrix with the standard diagonal phase correction, and are reproducible:
 the same :class:`RngStream` always yields the same matrix for a fixed
-numpy/BLAS build and BLAS thread count.
+numpy/BLAS build and, for sizes that ``_one_thread_qr`` leaves out, BLAS
+thread count: the other sizes factorize on one OpenBLAS thread
+(``_qr_threads``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +24,45 @@ from .statespace import _check_int
 __all__ = ["RngStream", "uniform_spreading_unitary", "sample_cue"]
 
 logger = logging.getLogger(__name__)
+
+
+# OpenBLAS 0.3.27 on exports a setter of the BLAS thread count that returns the previous
+# count; looking it up on numpy's linalg extension also searches the BLAS library it links.
+try:
+    _set_blas_threads = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    _set_blas_threads.argtypes, _set_blas_threads.restype = [ctypes.c_int], ctypes.c_int
+except (AttributeError, OSError):  # another BLAS or an older OpenBLAS
+    _set_blas_threads = None
+
+
+def _one_thread_qr(n: int) -> bool:
+    """Whether the QR of an n×n draw runs on one BLAS thread.
+
+    Timed on one n×n complex QR, interleaving one and two OpenBLAS threads,
+    one thread takes 0.6 (n = 101) to 0.99 (n = 301) of the two-thread time
+    and the same at n = 51; it is about even at n = 351 and slower from
+    n = 401.
+    """
+    return n <= 301
+
+
+@contextmanager
+def _qr_threads(n: int):
+    """Run the block on one BLAS thread if ``_one_thread_qr(n)``, then restore the count.
+
+    Without the setter the block runs as it is.  The setter acts on the
+    calling thread alone only in OpenBLAS's OpenMP builds; its pthreads
+    builds (numpy's wheels among them) keep one count for the process, so
+    draws must not run on two threads at once (the engine is serial).
+    """
+    if _set_blas_threads is None or not _one_thread_qr(n):
+        yield
+        return
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(previous)
 
 
 @dataclass(frozen=True)
@@ -70,6 +113,7 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     positive-diagonal R and hence Q exactly Haar.  In the measure-zero event
     that some |R_jj| underflows to 0 the draw is retried on the next
     sub-stream (logged), keeping the result a pure function of ``stream``.
+    The QR runs inside ``_qr_threads(n)``.
     """
     _check_int("n", n, 3, odd=True)
     attempt = 0
@@ -81,7 +125,8 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
         ginibre.real = rng.standard_normal((n, n))
         ginibre.imag = rng.standard_normal((n, n))
         ginibre /= np.sqrt(2)
-        q, r = np.linalg.qr(ginibre)
+        with _qr_threads(n):
+            q, r = np.linalg.qr(ginibre)
         del ginibre
         diag = np.diagonal(r)
         if not np.any(np.abs(diag) == 0.0):

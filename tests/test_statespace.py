@@ -10,6 +10,7 @@ from entrunc import (
     make_initial_state,
     parity_flag,
     sample_cue,
+    statespace,
     truncate,
 )
 
@@ -44,6 +45,18 @@ def test_initial_state_n5_m4():
         assert beta[q + big_n, -q + big_n] == pytest.approx(0.5)
     assert beta[big_n, big_n] == 0.0
     assert np.count_nonzero(beta) == 4
+
+
+@pytest.mark.parametrize("n,m", [(9, 2), (9, 3), (9, 9), (201, 4), (201, 195), (51, 50), (51, 51)])
+def test_encoding_entries_are_the_nonzero_entries_of_beta(n, m):
+    dims = HilbertDims(n, m)
+    beta = make_initial_state(dims)
+    rows, cols, values = statespace._encoding_entries(dims)
+    expected_rows, expected_cols = np.nonzero(beta)
+    np.testing.assert_array_equal(rows, expected_rows)
+    np.testing.assert_array_equal(cols, expected_cols)
+    assert values.dtype == beta.dtype
+    np.testing.assert_array_equal(values, beta[expected_rows, expected_cols])
 
 
 @given(st.integers(min_value=1, max_value=20), st.data())

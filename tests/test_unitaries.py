@@ -1,9 +1,13 @@
+import hashlib
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from entrunc import DimensionError, RngStream, sample_cue, uniform_spreading_unitary
+from entrunc import DimensionError, RngStream, sample_cue, uniform_spreading_unitary, unitaries
 
 from oracles import HAAR_MOMENT
 
@@ -45,14 +49,83 @@ def test_cue_is_deterministic_per_stream():
     assert not np.allclose(a, c)
 
 
+def _textbook_cue(n, stream):
+    """The formula ``sample_cue`` implements, its QR on the BLAS threads ``sample_cue`` uses."""
+    rng = stream.generator()
+    with unitaries._qr_threads(n):
+        q, r = np.linalg.qr((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def _blas_threads():
+    """The BLAS thread count now, read through the setter (which returns the previous count)."""
+    count = unitaries._set_blas_threads(1)
+    unitaries._set_blas_threads(count)
+    return count
+
+
+needs_setter = pytest.mark.skipif(
+    unitaries._set_blas_threads is None, reason="this BLAS has no openblas_set_num_threads_local"
+)
+
+
 @pytest.mark.parametrize("n, seed", [(3, 0), (9, 5), (51, 7), (201, 7)])
 def test_cue_is_bit_identical_to_the_textbook_formula(n, seed):
     # The in-place fill and phase fix must draw the same bits as the formula they replace.
     stream = RngStream(seed, (0, 1))
-    rng = stream.generator()
-    q, r = np.linalg.qr((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2))
-    diag = np.diagonal(r)
-    np.testing.assert_array_equal(sample_cue(n, stream), q * (diag / np.abs(diag)))
+    np.testing.assert_array_equal(sample_cue(n, stream), _textbook_cue(n, stream))
+
+
+def test_cue_without_the_thread_setter_is_the_textbook_formula(monkeypatch):
+    monkeypatch.setattr(unitaries, "_set_blas_threads", None)
+    stream = RngStream(7, (0, 1))
+    np.testing.assert_array_equal(sample_cue(201, stream), _textbook_cue(201, stream))
+
+
+def test_one_thread_qr_size_rule():
+    assert unitaries._one_thread_qr(51)
+    assert unitaries._one_thread_qr(201)
+    assert not unitaries._one_thread_qr(801)
+
+
+@needs_setter
+def test_cue_bits_do_not_depend_on_the_blas_thread_count():
+    script = (
+        "import hashlib; from entrunc import RngStream, sample_cue; "
+        "print(hashlib.sha256(sample_cue(201, RngStream(7, (0, 1))).tobytes()).hexdigest())"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        digests.add(out.stdout.strip())
+    assert digests == {hashlib.sha256(sample_cue(201, RngStream(7, (0, 1))).tobytes()).hexdigest()}
+
+
+@needs_setter
+def test_cue_restores_the_callers_blas_thread_count(monkeypatch):
+    caller = unitaries._set_blas_threads(2)
+    try:
+        sample_cue(201, RngStream(7, (0, 1)))
+        assert _blas_threads() == 2
+        seen = []
+
+        def failing_qr(matrix):
+            seen.append(_blas_threads())
+            raise np.linalg.LinAlgError("qr failed")
+
+        monkeypatch.setattr(np.linalg, "qr", failing_qr)
+        with pytest.raises(np.linalg.LinAlgError):
+            sample_cue(201, RngStream(7, (0, 1)))
+        assert seen == [1]
+        assert _blas_threads() == 2
+    finally:
+        unitaries._set_blas_threads(caller)
 
 
 def test_cue_rejects_bad_dims():
