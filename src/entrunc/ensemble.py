@@ -335,11 +335,7 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> dict[int, tu
 
 
 def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(m, rows, cols, β[rows, cols]): the m nonzero entries of ``make_initial_state(dims)``.
-
-    Read once per run and m off the sparse definition of β: scanning the
-    mostly-zero dense β costs over ten times as much as building it.
-    """
+    """(m, rows, cols, β[rows, cols]): the m nonzero entries of ``make_initial_state(dims)``."""
     return (dims.m, *_encoding_entries(dims))
 
 

@@ -5,15 +5,15 @@ Unitaries use the same level-to-offset convention as the state matrices
 unitary ensemble (Haar measure) via QR decomposition of a complex Ginibre
 matrix with the standard diagonal phase correction, and are reproducible:
 the same :class:`RngStream` always yields the same matrix for a fixed
-numpy/BLAS build and, for sizes that ``_one_thread_qr`` leaves out, BLAS
-thread count: the other sizes factorize on one OpenBLAS thread
-(``_qr_threads``).
+numpy/BLAS build.  Under OpenBLAS the QR runs on one BLAS thread
+(``_one_blas_thread``), so the draws do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -35,34 +35,32 @@ except (AttributeError, OSError):  # another BLAS or an older OpenBLAS
     _set_blas_threads = None
 
 
-def _one_thread_qr(n: int) -> bool:
-    """Whether the QR of an n×n draw runs on one BLAS thread.
-
-    Timed on one n×n complex QR, interleaving one and two OpenBLAS threads,
-    one thread takes 0.6 (n = 101) to 0.99 (n = 301) of the two-thread time
-    and the same at n = 51; it is about even at n = 351 and slower from
-    n = 401.
-    """
-    return n <= 301
+_blas_lock = threading.Lock()
 
 
 @contextmanager
-def _qr_threads(n: int):
-    """Run the block on one BLAS thread if ``_one_thread_qr(n)``, then restore the count.
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count.
 
-    Without the setter the block runs as it is.  The setter acts on the
-    calling thread alone only in OpenBLAS's OpenMP builds; its pthreads
-    builds (numpy's wheels among them) keep one count for the process, so
-    draws must not run on two threads at once (the engine is serial).
+    Without the setter the block runs as it is.  A one-thread complex QR
+    takes 0.6-0.99 of its two-thread time for n = 101 to 301 and the same at
+    n = 51; it is slower from about n = 400, a size no workload draws.  The
+    setter acts on the calling thread alone only in OpenBLAS's OpenMP builds;
+    its pthreads builds (numpy's wheels among them) keep one count for the
+    process.  The lock keeps scopes entered from two Python threads from
+    interleaving, so each restore pairs with its own set and the QR always
+    runs on one thread; BLAS calls that other threads make meanwhile also run
+    on one thread.
     """
-    if _set_blas_threads is None or not _one_thread_qr(n):
+    if _set_blas_threads is None:
         yield
         return
-    previous = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        _set_blas_threads(previous)
+    with _blas_lock:
+        previous = _set_blas_threads(1)
+        try:
+            yield
+        finally:
+            _set_blas_threads(previous)
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     positive-diagonal R and hence Q exactly Haar.  In the measure-zero event
     that some |R_jj| underflows to 0 the draw is retried on the next
     sub-stream (logged), keeping the result a pure function of ``stream``.
-    The QR runs inside ``_qr_threads(n)``.
+    The QR runs inside ``_one_blas_thread()``.
     """
     _check_int("n", n, 3, odd=True)
     attempt = 0
@@ -125,7 +123,7 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
         ginibre.real = rng.standard_normal((n, n))
         ginibre.imag = rng.standard_normal((n, n))
         ginibre /= np.sqrt(2)
-        with _qr_threads(n):
+        with _one_blas_thread():
             q, r = np.linalg.qr(ginibre)
         del ginibre
         diag = np.diagonal(r)

@@ -3,6 +3,8 @@ import logging
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,7 +54,7 @@ def test_cue_is_deterministic_per_stream():
 def _textbook_cue(n, stream):
     """The formula ``sample_cue`` implements, its QR on the BLAS threads ``sample_cue`` uses."""
     rng = stream.generator()
-    with unitaries._qr_threads(n):
+    with unitaries._one_blas_thread():
         q, r = np.linalg.qr((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
@@ -83,17 +85,11 @@ def test_cue_without_the_thread_setter_is_the_textbook_formula(monkeypatch):
     np.testing.assert_array_equal(sample_cue(201, stream), _textbook_cue(201, stream))
 
 
-def test_one_thread_qr_size_rule():
-    assert unitaries._one_thread_qr(51)
-    assert unitaries._one_thread_qr(201)
-    assert not unitaries._one_thread_qr(801)
-
-
 @needs_setter
 def test_cue_bits_do_not_depend_on_the_blas_thread_count():
     script = (
         "import hashlib; from entrunc import RngStream, sample_cue; "
-        "print(hashlib.sha256(sample_cue(201, RngStream(7, (0, 1))).tobytes()).hexdigest())"
+        "print([hashlib.sha256(sample_cue(n, RngStream(7, (0, 1))).tobytes()).hexdigest() for n in (201, 401)])"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     digests = set()
@@ -104,7 +100,8 @@ def test_cue_bits_do_not_depend_on_the_blas_thread_count():
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
         )
         digests.add(out.stdout.strip())
-    assert digests == {hashlib.sha256(sample_cue(201, RngStream(7, (0, 1))).tobytes()).hexdigest()}
+    here = [hashlib.sha256(sample_cue(n, RngStream(7, (0, 1))).tobytes()).hexdigest() for n in (201, 401)]
+    assert digests == {str(here)}
 
 
 @needs_setter
@@ -126,6 +123,32 @@ def test_cue_restores_the_callers_blas_thread_count(monkeypatch):
         assert _blas_threads() == 2
     finally:
         unitaries._set_blas_threads(caller)
+
+
+@needs_setter
+def test_concurrent_draws_keep_their_bits_and_the_callers_blas_thread_count(monkeypatch):
+    # A slowed QR holds each scope open long enough for the other thread's scope to start.
+    streams = [RngStream(7, (j, 1)) for j in range(10)]
+    serial = [sample_cue(51, stream) for stream in streams]
+    qr, seen = np.linalg.qr, []
+
+    def slow_qr(matrix):
+        seen.append(_blas_threads())
+        time.sleep(0.02)
+        seen.append(_blas_threads())
+        return qr(matrix)
+
+    monkeypatch.setattr(np.linalg, "qr", slow_qr)
+    caller = unitaries._set_blas_threads(2)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            drawn = list(pool.map(lambda stream: sample_cue(51, stream), streams))
+        assert _blas_threads() == 2
+    finally:
+        unitaries._set_blas_threads(caller)
+    assert seen == [1] * 20
+    for a, b in zip(drawn, serial):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_cue_rejects_bad_dims():
