@@ -8,14 +8,15 @@ Window kernel.  Per (realization, m) the state is C = A·Bᵀ with
 A = U_A[R, E]·β_E and B = U_B[R, E′], gathered through the m encoding
 columns E, E′ (read once per run, with β_E, from the sparse definition of β)
 and over only the rows R that the windows in hand read: all n rows for the
-walk below, else the central rows of the widest of them.  Window s has the
-trace moments w = tr G = tr ρ̃ (its weight) and q = tr G² = ‖G‖²_F = tr ρ̃²,
-with G = C_W·C_W† the Gram of its central s×s block C_W.  Every path below
-yields the pair (w, q), and ``_windows`` alone forms the Schmidt number
-K = w²/q from it.  The windows are nested, so the kernel grows their Grams
-outward one shell (two levels) at a time from s = 3, by one of two routes
-that ``_small_route`` picks from (n, m) alone: m² ≤ 8n, fitted to the
-measured cost of both at n = 51 and n = 201.
+walk below, the rows outside a wide anchor, else the central rows of the
+widest of them.  Window s has the trace moments w = tr G = tr ρ̃ (its
+weight) and q = tr G² = ‖G‖²_F = tr ρ̃², with G = C_W·C_W† the Gram of its
+central s×s block C_W.  Every path below yields the pair (w, q), and
+``_windows`` alone forms the Schmidt number K = w²/q from it.  The windows
+are nested, so the kernel grows their Grams outward one shell (two levels)
+at a time from s = 3, by one of two routes that ``_small_route`` picks from
+(n, m) alone: m² ≤ 8n, fitted to the measured cost of both at n = 51 and
+n = 201.
 
 * The walk evolves the n×n state C in O(n²m), the only route that does,
   keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns W, adds
@@ -31,12 +32,19 @@ measured cost of both at n = 51 and n = 201.
   window.
 
 Either route passes every requested window but the anchor s* = m | 1 (the
-smallest odd s ≥ m), which ``_read`` reads off the Gram C_W·C_W† of its own
-central block.  The engine calls ``truncate`` once per (realization, m), on
-the narrowest requested window: nested windows only gain weight, so that
-one call applies the degenerate-weight rule to all.  The anchor and the
-narrowest window each get their block from ``_block``, a product A_W·B_Wᵀ
-sized by (s, m) alone (one block serves both when they coincide).  So a
+smallest odd s ≥ m).  A narrow anchor is read by ``_read`` off the Gram
+C_W·C_W† of its own central block, a product A_W·B_Wᵀ sized by (s, m) alone
+(``_block``).  A wide one, 3s* ≥ 2n (``_outside_read``, a rule of (n, s*)
+alone), is read by ``_read_outside`` off the r = n − s* rows of A and B
+outside the window: A†A = αI (α = 1/m) and B†B = I make P·Q̄ the sum of αI
+and a term of rank 2r, so (w, q) cost O(r²m) in place of the block's
+O(s²m + s³), and at s* = n they are the closed form (αm, α²m).  The
+degenerate-weight rule is checked once per (realization, m), on the
+narrowest requested window: nested windows only gain weight, so that one
+check covers all.  Where that window has a block (it is not a wide anchor),
+the check is a ``truncate`` of it, and one block serves it and a narrow
+anchor when they coincide; a wide anchor has no block, and its w goes
+through ``pipeline._check_weight``, the rule ``truncate`` applies.  So a
 loss sweep (s = m) takes neither route and allocates no n×n array beyond
 the Haar pair.  The public chain ``truncate → reduced_purity →
 schmidt_number`` stays the single-window reference that the tests compare
@@ -48,9 +56,9 @@ walked windows are batched: ``_nested`` evolves the R states of one m into
 one stack and walks them in one call of ``_walk``, whose leading axis stacks
 the states, so each step is one batched product for the chunk.  The walk's
 buffers come from one ``_workspace`` per run.  The m×m route, the anchor,
-the one ``truncate`` and K = w²/q run draw by draw, the last three in
-realization order through ``_windows``.  :func:`run_cell` makes the same
-``_nested`` and ``_windows`` calls for a chunk of one draw.
+the one degenerate-weight check and K = w²/q run draw by draw, the last
+three in realization order through ``_windows``.  :func:`run_cell` makes the
+same ``_nested`` and ``_windows`` calls for a chunk of one draw.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
@@ -80,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateTruncationError, DimensionError
-from .pipeline import truncate
+from .pipeline import _check_weight, truncate
 from .statespace import HilbertDims, _check_int, _encoding_entries
 from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
 
@@ -334,6 +342,38 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> dict[int, tu
     return dict(zip(wanted, zip(weights.tolist(), squares.tolist())))
 
 
+def _outside_read(n: int, s: int) -> bool:
+    """Whether anchor window s is read off the n − s rows outside it (``_read_outside``).
+
+    The anchor's own block and its Gram cost O(s²m + s³), the rows outside
+    O((n − s)²m).  Timed with m = s on one draw at the default two BLAS
+    threads, the two break even near s = 37 at n = 51 and s = 129 at
+    n = 201, on either side of 3s = 2n.  The rule reads (n, s) alone, so a
+    window's value still depends only on the draw and (n, m, s).
+    """
+    return 3 * s >= 2 * n
+
+
+def _read_outside(y_a: np.ndarray, y_b: np.ndarray, alpha: float) -> tuple[float, float]:
+    """(w, q) of a window off the r rows y_a and y_b of A and B outside it, in O(r²m).
+
+    A†A = αI (α = |β|² = 1/m for the encoding) and B†B = I, so
+    P = A_W†A_W = αI − y_a†y_a and Q̄ = I − y_bᵀȳ_b, and X = P·Q̄ = αI + L·R
+    with L = [y_a† | y_bᵀ] = Z† for Z = [y_a ; ȳ_b] and
+    R = [(y_a·y_bᵀ)·ȳ_b − y_a ; −α·ȳ_b] = T·Z, T = [[−I, y_a·y_bᵀ], [0, −αI]].
+    So w = tr X = αm + tr(RL) and q = tr X² = α²m + 2α·tr(RL) + tr((RL)²),
+    where RL = T·ZZ† is only 2r×2r.  At r = 0 that is the closed form
+    (αm, α²m).
+    """
+    r, m = y_a.shape
+    z = np.concatenate((y_a, y_b.conj()))
+    h = z @ z.conj().T  # [[y_a·y_a†, y_a·y_bᵀ], [ȳ_b·y_a†, ȳ_b·y_bᵀ]]
+    rl = np.concatenate((h[:r, r:] @ h[r:] - h[:r], -alpha * h[r:]))
+    t = float(np.trace(rl).real)
+    w = alpha * m + t
+    return w, alpha * (w + t) + float(np.einsum("ij,ji->", rl, rl).real)
+
+
 def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(m, rows, cols, β[rows, cols]): the m nonzero entries of ``make_initial_state(dims)``."""
     return (dims.m, *_encoding_entries(dims))
@@ -378,20 +418,28 @@ def _windows(
     here and nowhere else.
     """
     m, rows, cols, coeffs = encoding
-    n, anchor = len(u_a), m | 1
-    # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
-    reads = {s_values[0], anchor} & set(s_values)
-    lo = (n - max(reads)) // 2
-    a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
-    a *= coeffs
-    blocks = {s: _block(a, b, s) for s in reads}
-    # freed before truncate's copy and the anchor's Gram: held, they cost a
-    # loss sweep a quarter more page faults
-    del a, b
-    truncate(blocks[s_values[0]], s_values[0])  # the degenerate-weight rule for every window
+    n, anchor, narrowest = len(u_a), m | 1, s_values[0]
     moments = dict(nested)
-    if anchor in blocks:
-        moments[anchor] = tuple(map(float, _read(blocks[anchor] @ blocks[anchor].conj().T)))
+    # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
+    reads = {narrowest, anchor} & set(s_values)
+    if anchor in reads and _outside_read(n, anchor):  # a wide anchor gets no block
+        reads.remove(anchor)
+        lo = (n - anchor) // 2
+        outside = np.arange(-lo, lo)[:, None]  # the last lo rows and the first lo
+        moments[anchor] = _read_outside(u_a[outside, rows] * coeffs, u_b[outside, cols], 1 / m)
+    if reads:  # the narrowest window is in it
+        lo = (n - max(reads)) // 2
+        a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
+        a *= coeffs
+        blocks = {s: _block(a, b, s) for s in reads}
+        # freed before truncate's copy and the anchor's Gram: held, they cost a
+        # loss sweep a quarter more page faults
+        del a, b
+        truncate(blocks[narrowest], narrowest)  # the degenerate-weight rule for every window
+        if anchor in blocks:
+            moments[anchor] = tuple(map(float, _read(blocks[anchor] @ blocks[anchor].conj().T)))
+    else:  # the narrowest window is a wide anchor: the same rule on its weight
+        _check_weight(moments[narrowest][0], narrowest)
     return [(s, w * w / q, w) for s, (w, q) in zip(s_values, map(moments.get, s_values))]
 
 
@@ -434,10 +482,10 @@ def _collect(
     Realizations run in chunks of ``_chunk(n)``: a chunk draws its pairs in
     index order, passes the nested windows of each m through ``_nested`` at
     once, then finishes realization by realization, m by m, through
-    ``_windows`` (so ``truncate``, its errors and the progress lines keep
-    realization order).  Returns the number of realizations run and the mean
-    K, the population std of K and the mean captured weight, each of shape
-    (len(config.m_values), len(windows[0])).
+    ``_windows`` (so the degenerate-weight check, its errors and the progress
+    lines keep realization order).  Returns the number of realizations run
+    and the mean K, the population std of K and the mean captured weight,
+    each of shape (len(config.m_values), len(windows[0])).
     """
     n = config.n
     draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations

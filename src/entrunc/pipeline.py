@@ -90,11 +90,16 @@ def truncate(state: np.ndarray, s: int) -> TruncatedState:
     lo = (n - s) // 2
     block = state[lo:lo + s, lo:lo + s]
     weight = float(np.vdot(block, block).real)
+    _check_weight(weight, s)
+    return TruncatedState(entries=block / np.sqrt(weight), captured_weight=weight)
+
+
+def _check_weight(weight: float, s: int) -> None:
+    """The degenerate-weight rule: window s must capture at least ``DEGENERATE_WEIGHT``."""
     if weight < DEGENERATE_WEIGHT:
         raise DegenerateTruncationError(
             f"truncation window s={s} captures weight {weight:.3e} < {DEGENERATE_WEIGHT:.0e}"
         )
-    return TruncatedState(entries=block / np.sqrt(weight), captured_weight=weight)
 
 
 def reduced_density(state: TruncatedState) -> np.ndarray:

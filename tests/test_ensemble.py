@@ -9,6 +9,7 @@ import pytest
 import entrunc.ensemble as ensemble
 import entrunc.pipeline as pipeline
 from entrunc import (
+    DegenerateTruncationError,
     DimensionError,
     HilbertDims,
     RngStream,
@@ -133,11 +134,13 @@ def _reference_chain(n, m, s, u_a, u_b):
                                          (15, (2, 7, 8, 14, 15)), (51, (5, 20, 21, 38, 50, 51))])
 def test_window_value_depends_only_on_draw_and_dimensions(n, m_values, kind, independent_ab):
     # The kernel grows one Gram from s = 3, through and past the anchor m | 1,
-    # which it reads off the Gram of its own block; whichever windows are
-    # requested, each window's (K, weight) must come out bit for bit the same,
-    # on either route.  The grid holds an m of each route that n admits.
+    # which it reads off the Gram of its own block or, when wide, off the rows
+    # outside it; whichever windows are requested, each window's (K, weight)
+    # must come out bit for bit the same, on either route.  The grid holds an m
+    # of each route that n admits, and anchors on both sides of ``_outside_read``.
     assert ({ensemble._small_route(n, m) for m in m_values}
             == {ensemble._small_route(n, m) for m in range(2, n + 1)} == {True, False})
+    assert {ensemble._outside_read(n, m | 1) for m in m_values} == {True, False}
     windows = tuple(range(3, n + 1, 2))
     for j in range(2):
         stream = RngStream(31).child(j)
@@ -167,13 +170,34 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
             assert small[s] == pytest.approx(walked[s], rel=1e-13, abs=0), (m, s)
 
 
+@pytest.mark.parametrize("independent_ab", [True, False])
+@pytest.mark.parametrize("kind", list(UnitaryKind))
+@pytest.mark.parametrize("n", [9, 51, 201])
+def test_wide_anchors_read_off_the_outside_rows_agree_with_their_block(n, kind, independent_ab):
+    # ``_read_outside`` uses A†A = αI and B†B = I; it must give the (w, q) of the
+    # anchor's own block Gram, read through ``_read``, at every wide anchor.
+    u_a, u_b = ensemble._draw(n, kind, RngStream(13).child(n), independent_ab)
+    wide = [s for s in range(3, n + 1, 2) if ensemble._outside_read(n, s)]
+    assert wide and not ensemble._outside_read(n, wide[0] - 2)
+    for s, m in [(s, m) for s in wide for m in (s - 1, s)]:
+        encoding = ensemble._encoding(HilbertDims(n, m))
+        _, rows, cols, coeffs = encoding
+        block = ensemble._block(u_a[:, rows] * coeffs, u_b[:, cols], s)
+        w_ref, q_ref = ensemble._read(block @ block.conj().T)
+        (_, k, w), = ensemble._windows(encoding, (s,), u_a, u_b, {})  # as run_cell calls it
+        assert w == pytest.approx(w_ref, rel=1e-13, abs=0), (s, m)
+        assert w * w / k == pytest.approx(q_ref, rel=1e-13, abs=0), (s, m)
+
+
 def test_anchor_windows_allocate_only_the_rows_they_read():
     # A loss-sweep m reads one central s×s block: the engine must not evolve the
     # n×n state for it, and frees the encoding columns before that block's Gram.
+    # A wide anchor (m = 195) reads only the 6 rows outside it, and builds no block.
     n = 201
     u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
     state_bytes = n * n * np.dtype(complex).itemsize
-    for m, bound in [(51, state_bytes), (195, 3 * state_bytes)]:
+    assert not ensemble._outside_read(n, 51) and ensemble._outside_read(n, 195)
+    for m, bound in [(51, state_bytes), (195, state_bytes // 4)]:
         encoding = ensemble._encoding(HilbertDims(n, m))
         tracemalloc.start()
         try:
@@ -461,7 +485,8 @@ def test_each_realization_draws_its_pair_once(monkeypatch):
 
 def test_engine_truncates_once_per_realization_and_m(monkeypatch):
     # Every window is read off a Gram, the anchor m | 1 included; ``truncate``
-    # runs only on the narrowest window, for the degenerate-weight rule.
+    # runs only on the narrowest window, for the degenerate-weight rule, and not
+    # where that window is a wide anchor, which is read without a block.
     calls = {truncate: [], reduced_purity: [], schmidt_number: []}
 
     def counted(original):
@@ -477,7 +502,8 @@ def test_engine_truncates_once_per_realization_and_m(monkeypatch):
     sweep = dict(n=9, m_values=(4, 5, 7), s_values=(3, 5, 7, 9), realizations=realizations)
     for kwargs, run in [
         (sweep, run_ensemble),  # no m has the narrowest window s = 3 as its anchor
-        (dict(sweep, m_values=(3, 5, 7), s_values=(3, 5, 7)), loss_sweep),
+        (dict(sweep, m_values=(3, 5, 7), s_values=(3, 5, 7)), loss_sweep),  # 7 is wide
+        (dict(sweep, m_values=(4, 7, 9), s_values=(7, 9)), run_ensemble),  # 7 is m = 7's
         (dict(sweep, unitary_kind=UnitaryKind.UNIFORM_SPREADING), run_ensemble),
     ]:
         for log in calls.values():
@@ -485,10 +511,42 @@ def test_engine_truncates_once_per_realization_and_m(monkeypatch):
         config = SweepConfig(**kwargs)
         run(config)
         draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else realizations
-        narrowest = [s if run is loss_sweep else config.s_values[0]
-                     for _ in range(draws) for s in config.m_values]
+        narrowest = [s for _ in range(draws) for m in config.m_values
+                     for s in [m if run is loss_sweep else config.s_values[0]]
+                     if not (s == m | 1 and ensemble._outside_read(config.n, s))]
         assert [s for _, s in calls[truncate]] == narrowest, kwargs
         assert calls[reduced_purity] == calls[schmidt_number] == [], kwargs
+
+
+@pytest.mark.parametrize("s_values", [(7,), (7, 9)])
+def test_degenerate_wide_narrowest_window_raises_truncates_message(monkeypatch, s_values):
+    # A wide anchor that is also the narrowest window gets no block and no
+    # ``truncate``; the degenerate-weight rule applies to the weight of its
+    # outside read, with ``truncate``'s message and the realization prefix.
+    assert ensemble._outside_read(9, 7)
+    state = np.zeros((9, 9), complex)
+    state[4, 4] = 1e-13**0.5
+    with pytest.raises(DegenerateTruncationError) as expected:
+        truncate(state, 7)
+    monkeypatch.setattr(ensemble, "_read_outside", lambda y_a, y_b, alpha: (1e-13, 1e-26))
+    config = SweepConfig(n=9, m_values=(7,), s_values=s_values, realizations=3)
+    with pytest.raises(DegenerateTruncationError) as err:
+        run_ensemble(config)
+    assert str(err.value) == f"realization 0, m=7: {expected.value}"
+
+
+def test_std_K_is_exactly_zero_at_the_whole_space():
+    # For m ∈ {n − 1, n} the window s = n is the anchor, read in closed form:
+    # every realization gives the same K = m, so its spread reads 0.0 exactly,
+    # not roundoff.
+    for n, realizations in [(51, 100), (201, 10)]:
+        assert ensemble._outside_read(n, n)
+        config = SweepConfig(n=n, m_values=(n - 1, n), s_values=(3, n),
+                             realizations=realizations, master_seed=7)
+        stats = run_ensemble(config)
+        assert stats.std_K[:, -1].tolist() == [0.0, 0.0], n
+        assert stats.mean_K[:, -1].tolist() == [n - 1.0, n], n
+        assert stats.mean_captured_weight[:, -1].tolist() == [1.0, 1.0], n
 
 
 def test_progress_lines_leave_results_unchanged(monkeypatch, caplog):
