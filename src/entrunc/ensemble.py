@@ -1,8 +1,11 @@
 """Monte Carlo engine: (m, s) sweeps under uniform-spreading or Haar dynamics.
 
 A *realization* draws one pair of local unitaries and evaluates every
-requested m against it.  Ensembles aggregate the Schmidt number over
-realizations into per-(m, s) means and population standard deviations.
+requested m against it.  A run keeps one record, the Schmidt number K and the
+weight w of every (realization, m, s), and its statistics (per-(m, s) means
+and population standard deviations) are reduced from that record by
+``_reduce``, which reads a cell whose draws are all identical as that value
+with a spread of 0.0.
 
 Window kernel.  Per (realization, m) the state is C = A·Bᵀ with
 A = U_A[R, E]·β_E and B = U_B[R, E′], gathered through the m encoding
@@ -11,8 +14,9 @@ and over only the rows R that the windows in hand read: all n rows for the
 walk below, the rows outside a wide anchor, else the central rows of the
 widest of them.  Window s has the trace moments w = tr G = tr ρ̃ (its
 weight) and q = tr G² = ‖G‖²_F = tr ρ̃², with G = C_W·C_W† the Gram of its
-central s×s block C_W.  Every path below yields the pair (w, q), and
-``_windows`` alone forms the Schmidt number K = w²/q from it.  The windows
+central s×s block C_W.  Every path below writes the pair (w, q) into one
+(2, draws, |m|, |windows|) array of the run, and ``_collect`` alone forms the
+Schmidt number K = w²/q from it, once, over the whole array.  The windows
 are nested, so the kernel grows their Grams outward one shell (two levels)
 at a time from s = 3, by one of two routes that ``_small_route`` picks from
 (n, m) alone: m² ≤ 8n, fitted to the measured cost of both at n = 51 and
@@ -55,10 +59,10 @@ max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91.  Within a chunk only the
 walked windows are batched: ``_nested`` evolves the R states of one m into
 one stack and walks them in one call of ``_walk``, whose leading axis stacks
 the states, so each step is one batched product for the chunk.  The walk's
-buffers come from one ``_workspace`` per run.  The m×m route, the anchor,
-the one degenerate-weight check and K = w²/q run draw by draw, the last
-three in realization order through ``_windows``.  :func:`run_cell` makes the
-same ``_nested`` and ``_windows`` calls for a chunk of one draw.
+buffers come from one ``_workspace`` per run.  The m×m route, the anchor and
+the one degenerate-weight check run draw by draw, the last two in
+realization order through ``_windows``.  :func:`run_cell` is a run of one
+draw: ``_collect`` over its one stream.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
@@ -70,7 +74,7 @@ product makes per draw the BLAS call a lone draw makes.  Realizations are
 drawn in index order, and statistics are reduced in fixed index order — so
 the output is bit-identical for a fixed master seed, numpy/BLAS build and
 BLAS thread count, and :func:`run_cell` replays any realization of any m in
-isolation.
+isolation: row j of a run's record equals ``run_cell(…, base.child(j))``.
 Runs log a progress line with rate and ETA at most every
 ``PROGRESS_EVERY_S`` seconds.  The ``workers`` argument of
 :func:`run_ensemble` and :func:`loss_sweep` is accepted for compatibility
@@ -82,6 +86,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from time import monotonic
 from typing import NamedTuple
 
@@ -157,19 +162,37 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
-    """Per-(m, s) Schmidt-number statistics of one sweep of ``config``.
+    """The per-realization record of one sweep of ``config``, and its statistics.
 
-    ``realizations`` is the number of draws run (1 for the deterministic
-    uniform kind).  ``mean_K``, ``std_K`` (population standard deviation; all
-    zeros for the deterministic kind) and ``mean_captured_weight`` are arrays
-    of shape (len(config.m_values), len(config.s_values)).
+    ``K`` and ``captured_weight`` are the record: the Schmidt number and the
+    weight of every draw at every cell, arrays of shape (realizations,
+    len(config.m_values), len(config.s_values)); row j is realization j (one
+    draw for the deterministic uniform kind).  ``mean_K``, ``std_K``
+    (population standard deviation; all zeros for the deterministic kind) and
+    ``mean_captured_weight`` are reduced from it by ``_reduce`` on first read
+    and kept, each of shape (len(config.m_values), len(config.s_values)).
     """
 
     config: SweepConfig
-    realizations: int
-    mean_K: np.ndarray
-    std_K: np.ndarray
-    mean_captured_weight: np.ndarray
+    K: np.ndarray
+    captured_weight: np.ndarray
+
+    @property
+    def realizations(self) -> int:
+        """The number of draws run (1 for the deterministic uniform kind)."""
+        return len(self.K)
+
+    @cached_property
+    def mean_K(self) -> np.ndarray:
+        return _reduce(self.K)[0]
+
+    @cached_property
+    def std_K(self) -> np.ndarray:
+        return _reduce(self.K)[1]
+
+    @cached_property
+    def mean_captured_weight(self) -> np.ndarray:
+        return _reduce(self.captured_weight)[0]
 
     def cell(self, m: int, s: int) -> tuple[float, float, float]:
         """(mean_K, std_K, mean_captured_weight) of the (m, s) cell."""
@@ -248,10 +271,8 @@ def _workspace(count: int, n: int, widest: int) -> _Workspace:
                       np.empty((count, steps, 4, 2 * n)))
 
 
-def _walk(
-    evolved: np.ndarray, wanted: list[int], workspace: _Workspace
-) -> list[dict[int, tuple[float, float]]]:
-    """(w, q) of ``_read`` at each window of ``wanted`` (ascending), one dict per state.
+def _walk(evolved: np.ndarray, wanted: list[int], workspace: _Workspace) -> np.ndarray:
+    """(w, q) of ``_read`` at each window of ``wanted`` (ascending): shape (2, R, len(wanted)).
 
     ``evolved`` is an (R, n, n) stack of states, walked together: each step is
     one batched product for all of them.  The walk's buffers are those of
@@ -289,14 +310,14 @@ def _walk(
     np.negative(ell[..., 1::2, :], out=both[..., 0::2, :, 1])  # view(i·p) = (−Im p, Re p)
     both[..., 1::2, :, 1] = ell[..., 0::2, :]
     flat, step = gram.view(float), update.view(float)
-    out = {}
+    out = np.empty((2, count, len(wanted)))
     for k, s in enumerate(range(3, wanted[-1] + 1, 2), -1):
         if s > 3:  # two more columns: a rank-2 update
             lo -= 1
             flat += np.matmul(rows[:, k], cols[:, k], out=step)
         if s in wanted:
-            out[s] = [x.tolist() for x in _read(gram[:, lo:lo + s, lo:lo + s])]
-    return [{s: (w[r], q[r]) for s, (w, q) in out.items()} for r in range(count)]
+            out[:, :, wanted.index(s)] = _read(gram[:, lo:lo + s, lo:lo + s])
+    return out
 
 
 def _small_route(n: int, m: int) -> bool:
@@ -329,17 +350,15 @@ def _shell_grams(x: np.ndarray, levels: list[int]) -> np.ndarray:
     return np.cumsum(grams, axis=0, out=grams)[levels]
 
 
-def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> dict[int, tuple[float, float]]:
-    """(w, q) at each window of ``wanted`` (ascending) of the state a·bᵀ of rank m.
+def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
+    """(w, q) of the rank-m state a·bᵀ at each window of ``wanted`` (ascending): shape (2, |wanted|).
 
     With P = A_W†A_W and Q = B_W†B_W, the window's Gram G = A_W·Q̄·A_W† has
     w = tr G = tr(P·Q̄) and q = tr G² = tr((P·Q̄)²), so every window costs O(m³).
     """
     levels = [s // 2 for s in wanted]
     pq = _shell_grams(a, levels) @ _shell_grams(b.conj(), levels)
-    weights = np.einsum("kii->k", pq).real
-    squares = np.einsum("kij,kji->k", pq, pq).real
-    return dict(zip(wanted, zip(weights.tolist(), squares.tolist())))
+    return np.stack((np.einsum("kii->k", pq).real, np.einsum("kij,kji->k", pq, pq).real))
 
 
 def _outside_read(n: int, s: int) -> bool:
@@ -381,52 +400,52 @@ def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarra
 
 def _nested(
     encoding: tuple, s_values: tuple[int, ...], pairs: list[tuple[np.ndarray, np.ndarray]],
-    workspace: _Workspace | None = None,
-) -> list[dict[int, tuple[float, float]]]:
-    """(w, q) of every window but the anchor, per (U_A, U_B) draw of ``pairs``.
+    workspace: _Workspace | None, out: np.ndarray,
+) -> None:
+    """Write (w, q) of every window but the anchor, per (U_A, U_B) draw of ``pairs``, into ``out``.
 
-    The R draws walk together, through one call of ``_walk`` on the stack of
-    their evolved states, which ``workspace`` (for at least R states) holds;
-    without it one is allocated for this call.
+    ``out`` is the (2, R, len(s_values)) slice of the run's record for these
+    R draws.  They walk together, through one call of ``_walk`` on the stack
+    of their evolved states, with the buffers of ``workspace`` (for at least R
+    states; None only where no m of the run walks).
     """
     m, rows, cols, coeffs = encoding
     n = len(pairs[0][0])
     nested, walk = _route(n, m, s_values)
     if not nested:
-        return [{} for _ in pairs]
+        return
+    columns = np.array(s_values) != (m | 1)  # the nested windows' columns of the record
     if not walk:  # one draw at a time: stacked, its Grams cost more in page faults than in calls
         lo = (n - nested[-1]) // 2  # only the walk reads rows outside every window
-        return [_read_small(u_a[lo:n - lo, rows] * coeffs, u_b[lo:n - lo, cols], nested)
-                for u_a, u_b in pairs]
-    workspace = workspace or _workspace(len(pairs), n, nested[-1])
+        for (u_a, u_b), row in zip(pairs, out.swapaxes(0, 1)):
+            row[:, columns] = _read_small(u_a[lo:n - lo, rows] * coeffs, u_b[lo:n - lo, cols], nested)
+        return
     evolved = workspace.update[:len(pairs)]
     for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
         a = u_a[:, rows]
         a *= coeffs
         np.matmul(a, u_b[:, cols].T, out=state)
-    return _walk(evolved, nested, workspace)
+    out[..., columns] = _walk(evolved, nested, workspace)
 
 
 def _windows(
-    encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray,
-    nested: dict[int, tuple[float, float]],
-) -> list[tuple[int, float, float]]:
-    """(s, K, weight) of the state of one ``_encoding`` at every window (see the module doc).
+    encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the anchor's (w, q) into ``out`` and check the degenerate-weight rule (module doc).
 
-    ``nested`` holds this draw's (w, q) from ``_nested``.  Every route yields
-    the moments (w, q) = (tr G, tr G²) of a window's Gram; K = w²/q is formed
-    here and nowhere else.
+    ``out`` is this draw's (2, len(s_values)) row of the run's record, whose
+    other windows ``_nested`` has written.
     """
     m, rows, cols, coeffs = encoding
     n, anchor, narrowest = len(u_a), m | 1, s_values[0]
-    moments = dict(nested)
     # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
     reads = {narrowest, anchor} & set(s_values)
     if anchor in reads and _outside_read(n, anchor):  # a wide anchor gets no block
         reads.remove(anchor)
         lo = (n - anchor) // 2
         outside = np.arange(-lo, lo)[:, None]  # the last lo rows and the first lo
-        moments[anchor] = _read_outside(u_a[outside, rows] * coeffs, u_b[outside, cols], 1 / m)
+        out[:, s_values.index(anchor)] = _read_outside(u_a[outside, rows] * coeffs,
+                                                       u_b[outside, cols], 1 / m)
     if reads:  # the narrowest window is in it
         lo = (n - max(reads)) // 2
         a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
@@ -437,10 +456,9 @@ def _windows(
         del a, b
         truncate(blocks[narrowest], narrowest)  # the degenerate-weight rule for every window
         if anchor in blocks:
-            moments[anchor] = tuple(map(float, _read(blocks[anchor] @ blocks[anchor].conj().T)))
+            out[:, s_values.index(anchor)] = _read(blocks[anchor] @ blocks[anchor].conj().T)
     else:  # the narrowest window is a wide anchor: the same rule on its weight
-        _check_weight(moments[narrowest][0], narrowest)
-    return [(s, w * w / q, w) for s, (w, q) in zip(s_values, map(moments.get, s_values))]
+        _check_weight(out[0, 0], narrowest)
 
 
 def run_cell(
@@ -453,13 +471,15 @@ def run_cell(
 ) -> list[tuple[int, float, float]]:
     """One realization of one m at every window; returns (s, K, weight) triples.
 
-    ``s_values`` obeys the list rules of ``SweepConfig.s_values``.
+    ``s_values`` obeys the list rules of ``SweepConfig.s_values``.  The cell is
+    a one-draw run of ``stream``, so it equals row j of a sweep's record when
+    ``stream`` is that sweep's ``RngStream(master_seed).child(j)``.
     """
-    dims = HilbertDims(n, m)  # names m itself, not the config's m_values
-    config = SweepConfig(n, (m,), s_values)  # every rule is checked before the pair is drawn
-    encoding, pair = _encoding(dims), _draw(n, unitary_kind, stream, independent_ab)
-    nested, = _nested(encoding, config.s_values, [pair])  # as ``_collect`` does for a chunk of one
-    return _windows(encoding, config.s_values, *pair, nested)
+    HilbertDims(n, m)  # names m itself, not the config's m_values
+    # every rule is checked before the pair is drawn
+    config = SweepConfig(n, (m,), s_values, unitary_kind, independent_ab=independent_ab)
+    k, w = _collect(config, [config.s_values], [stream])
+    return list(zip(config.s_values, k[0, 0].tolist(), w[0, 0].tolist()))
 
 
 def _chunk(n: int) -> int:
@@ -471,45 +491,49 @@ def _chunk(n: int) -> int:
     return max(1, 2**14 // (n * n))
 
 
+def _streams(config: SweepConfig) -> list[RngStream | None]:
+    """Realization j's stream, ``RngStream(master_seed).child(j)``; the uniform kind draws once."""
+    if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING:
+        return [None]
+    return [RngStream(config.master_seed).child(j) for j in range(config.realizations)]
+
+
 def _collect(
-    config: SweepConfig, windows: list[tuple[int, ...]]
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Realizations evaluated for every m and reduced per window.
+    config: SweepConfig, windows: list[tuple[int, ...]], streams: list[RngStream | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The record (K, weight) of one draw per stream of ``streams``, for every m.
 
     ``windows[i]`` are the windows of ``config.m_values[i]``, equally many for
-    every m.  Realization j draws its pair once (one draw, stream unused, for
-    the deterministic uniform kind) and evaluates every m against it.
+    every m.  Realization j draws its pair once, from ``streams[j]`` (unused
+    for the deterministic uniform kind), and evaluates every m against it.
     Realizations run in chunks of ``_chunk(n)``: a chunk draws its pairs in
     index order, passes the nested windows of each m through ``_nested`` at
     once, then finishes realization by realization, m by m, through
     ``_windows`` (so the degenerate-weight check, its errors and the progress
-    lines keep realization order).  Returns the number of realizations run
-    and the mean K, the population std of K and the mean captured weight,
-    each of shape (len(config.m_values), len(windows[0])).
+    lines keep realization order).  Both write (w, q) into one array of shape
+    (2, len(streams), len(config.m_values), len(windows[0])), over which
+    K = w²/q is formed once.  Returns K and w, each of the record's shape
+    (len(streams), len(config.m_values), len(windows[0])).
     """
-    n = config.n
-    draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations
+    n, draws = config.n, len(streams)
     encodings = [_encoding(HilbertDims(n, m)) for m in config.m_values]
-    k_values = np.empty((draws, len(windows), len(windows[0])))
-    weights = np.empty_like(k_values)
+    record = np.empty((2, draws, len(windows), len(windows[0])))
     chunk = min(draws, _chunk(n))
     routes = [_route(n, m, s_values) for m, s_values in zip(config.m_values, windows)]
     widest = max((walked[-1] for walked, walk in routes if walk), default=0)  # the longest walk
     workspace = _workspace(chunk, n, widest) if widest else None
-    base = RngStream(config.master_seed)
     start = reported = monotonic()
     for first in range(0, draws, chunk):
-        pairs = [_draw(n, config.unitary_kind, base.child(j), config.independent_ab)
-                 for j in range(first, min(first + chunk, draws))]
-        nested = [_nested(encoding, s_values, pairs, workspace)
-                  for encoding, s_values in zip(encodings, windows)]
-        for j, ((u_a, u_b), *moments) in enumerate(zip(pairs, *nested), first):
+        pairs = [_draw(n, config.unitary_kind, stream, config.independent_ab)
+                 for stream in streams[first:first + chunk]]
+        for i, (encoding, s_values) in enumerate(zip(encodings, windows)):
+            _nested(encoding, s_values, pairs, workspace, record[:, first:first + chunk, i])
+        for j, (u_a, u_b) in enumerate(pairs, first):
             for i, (encoding, s_values) in enumerate(zip(encodings, windows)):
                 try:
-                    row = _windows(encoding, s_values, u_a, u_b, moments[i])
+                    _windows(encoding, s_values, u_a, u_b, record[:, j, i])
                 except DegenerateTruncationError as err:
                     raise DegenerateTruncationError(f"realization {j}, m={encoding[0]}: {err}") from err
-                _, k_values[j, i], weights[j, i] = zip(*row)
             now = monotonic()
             if now - reported >= PROGRESS_EVERY_S:
                 reported, rate = now, (j + 1) / (now - start)
@@ -517,7 +541,20 @@ def _collect(
                             j + 1, draws, rate, (draws - j - 1) / rate)
         del pairs, u_a, u_b  # free a lone draw before the next one allocates its own
     logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(encodings))
-    return draws, k_values.mean(axis=0), k_values.std(axis=0), weights.mean(axis=0)
+    w, q = record
+    return w * w / q, w
+
+
+def _reduce(record: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std over the draws (axis 0) of a record, reduced in index order.
+
+    A cell whose draws are all bit-identical reads that value and 0.0:
+    numpy's mean of identical values can round off them (at n = m = s = 105
+    every draw gives K = 104.99999999999999, whose mean over 10 draws is
+    104.99999999999997, with a std of 1.4e-14).
+    """
+    same = (record == record[0]).all(axis=0)
+    return np.where(same, record[0], record.mean(axis=0)), np.where(same, 0.0, record.std(axis=0))
 
 
 def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
@@ -525,7 +562,8 @@ def run_ensemble(config: SweepConfig, workers: int = 1) -> EnsembleStats:
 
     ``workers`` is accepted for compatibility and has no effect.
     """
-    return EnsembleStats(config, *_collect(config, [config.s_values] * len(config.m_values)))
+    return EnsembleStats(config, *_collect(config, [config.s_values] * len(config.m_values),
+                                           _streams(config)))
 
 
 def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:
@@ -539,7 +577,8 @@ def loss_sweep(config: SweepConfig, workers: int = 1) -> list[LossPoint]:
         raise DimensionError(
             "loss sweeps require s_values == m_values (truncation onto the encoding subspace)"
         )
-    _, mean_k, std_k, mean_w = _collect(config, [(m,) for m in config.m_values])
+    k, w = _collect(config, [(m,) for m in config.m_values], _streams(config))
+    (mean_k, std_k), (mean_w, _) = _reduce(k), _reduce(w)
     return [
         LossPoint(
             m=m,

@@ -164,10 +164,10 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
     for m in m_values:
         _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
         a, b = u_a[:, rows] * coeffs, u_b[:, cols]
-        walked, = ensemble._walk((a @ b.T)[None], windows, ensemble._workspace(1, n, n))
+        walked = ensemble._walk((a @ b.T)[None], windows, ensemble._workspace(1, n, n))[:, 0]
         small = ensemble._read_small(a, b, windows)
-        for s in windows:
-            assert small[s] == pytest.approx(walked[s], rel=1e-13, abs=0), (m, s)
+        for i, s in enumerate(windows):
+            assert small[:, i] == pytest.approx(walked[:, i], rel=1e-13, abs=0), (m, s)
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])
@@ -184,9 +184,11 @@ def test_wide_anchors_read_off_the_outside_rows_agree_with_their_block(n, kind, 
         _, rows, cols, coeffs = encoding
         block = ensemble._block(u_a[:, rows] * coeffs, u_b[:, cols], s)
         w_ref, q_ref = ensemble._read(block @ block.conj().T)
-        (_, k, w), = ensemble._windows(encoding, (s,), u_a, u_b, {})  # as run_cell calls it
+        out = np.empty((2, 1))  # this draw's record row, as a run of the one window s passes it
+        ensemble._windows(encoding, (s,), u_a, u_b, out)
+        w, q = out[:, 0]
         assert w == pytest.approx(w_ref, rel=1e-13, abs=0), (s, m)
-        assert w * w / k == pytest.approx(q_ref, rel=1e-13, abs=0), (s, m)
+        assert q == pytest.approx(q_ref, rel=1e-13, abs=0), (s, m)
 
 
 def test_anchor_windows_allocate_only_the_rows_they_read():
@@ -198,10 +200,10 @@ def test_anchor_windows_allocate_only_the_rows_they_read():
     state_bytes = n * n * np.dtype(complex).itemsize
     assert not ensemble._outside_read(n, 51) and ensemble._outside_read(n, 195)
     for m, bound in [(51, state_bytes), (195, state_bytes // 4)]:
-        encoding = ensemble._encoding(HilbertDims(n, m))
+        encoding, out = ensemble._encoding(HilbertDims(n, m)), np.empty((2, 1))
         tracemalloc.start()
         try:
-            ensemble._windows(encoding, (m,), u_a, u_b, {})  # s = m is the anchor: nothing nested
+            ensemble._windows(encoding, (m,), u_a, u_b, out)  # s = m is the anchor: nothing nested
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -241,11 +243,8 @@ def test_captured_weight_matches_exact_haar_moment():
     # so it holds for any engine that samples the same distribution.
     n, m, s_values, realizations = 21, 5, (3, 7, 11), 300
     assert ensemble._small_route(n, m)  # the gate checks the m×m route
-    base = RngStream(2024)
-    weights = np.array([
-        [w for _, _, w in run_cell(n, m, s_values, UnitaryKind.RANDOM_CUE, base.child(j))]
-        for j in range(realizations)
-    ])
+    config = SweepConfig(n, (m,), s_values, realizations=realizations, master_seed=2024)
+    weights = run_ensemble(config).captured_weight[:, 0]
     exact = np.array(s_values) ** 2 / n**2
     stderr = weights.std(axis=0, ddof=1) / np.sqrt(realizations)
     assert np.all(np.abs(weights.mean(axis=0) - exact) <= 4 * stderr)
@@ -264,12 +263,8 @@ def test_walk_samples_the_exact_annealed_purity():
     # the draw count and the 4-SE threshold were fixed before the first run.
     n, m, s_values, realizations = 21, 15, (3, 7, 11), 2000
     assert not ensemble._small_route(n, m)  # the gate checks the walk
-    base = RngStream(31)
-    cells = np.array([
-        [(k, w) for _, k, w in run_cell(n, m, s_values, UnitaryKind.RANDOM_CUE, base.child(j))]
-        for j in range(realizations)
-    ])
-    k, w = cells[..., 0], cells[..., 1]
+    stats = run_ensemble(SweepConfig(n, (m,), s_values, realizations=realizations, master_seed=31))
+    k, w = stats.K[:, 0], stats.captured_weight[:, 0]
     q = w * w / k
     q_bar, w_bar = q.mean(axis=0), w.mean(axis=0)
     purity = q_bar / w_bar**2
@@ -348,7 +343,7 @@ def test_worker_count_does_not_change_results():
 
 
 def _replayed(config, m, windows):
-    """(mean K, std K, mean weight) of one m, stacked from run_cell replays."""
+    """(K, weight) of one m, each of shape (draws, len(windows)), stacked from run_cell replays."""
     draws = 1 if config.unitary_kind is UnitaryKind.UNIFORM_SPREADING else config.realizations
     rows = [
         run_cell(config.n, m, windows, config.unitary_kind,
@@ -356,8 +351,17 @@ def _replayed(config, m, windows):
         for j in range(draws)
     ]
     k = np.array([[k for _, k, _ in row] for row in rows])
-    w = np.array([[w for _, _, w in row] for row in rows])
-    return k.mean(axis=0), k.std(axis=0), w.mean(axis=0)
+    return k, np.array([[w for _, _, w in row] for row in rows])
+
+
+def _assert_record_equals_replays(stats, i, k, w):
+    """Record row j of ``stats.config.m_values[i]`` is replay j, cell for cell, and so are the reductions."""
+    assert stats.realizations == len(k)
+    assert np.array_equal(stats.K[:, i], k) and np.array_equal(stats.captured_weight[:, i], w)
+    (mean_k, std_k), (mean_w, _) = ensemble._reduce(k), ensemble._reduce(w)
+    assert np.array_equal(stats.mean_K[i], mean_k)
+    assert np.array_equal(stats.std_K[i], std_k)
+    assert np.array_equal(stats.mean_captured_weight[i], mean_w)
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])
@@ -369,13 +373,12 @@ def test_sweeps_equal_stacked_run_cell_replays(kind, independent_ab):
     stats = run_ensemble(config)
     assert stats.config is config
     for i, m in enumerate(config.m_values):
-        mean_k, std_k, mean_w = _replayed(config, m, config.s_values)
-        assert np.array_equal(stats.mean_K[i], mean_k)
-        assert np.array_equal(stats.std_K[i], std_k)
-        assert np.array_equal(stats.mean_captured_weight[i], mean_w)
+        _assert_record_equals_replays(stats, i, *_replayed(config, m, config.s_values))
     config = SweepConfig(m_values=(3, 7, 11), s_values=(3, 7, 11), **common)
     for p in loss_sweep(config):
-        (mean_k,), (std_k,), (mean_w,) = _replayed(config, p.m, (p.m,))
+        k, w = _replayed(config, p.m, (p.m,))
+        (mean_k,), (std_k,) = ensemble._reduce(k)
+        (mean_w,), _ = ensemble._reduce(w)
         assert (p.mean_K, p.std_loss, p.mean_captured_weight) == (mean_k, std_k, mean_w)
         assert p.mean_loss == p.m - mean_k
 
@@ -391,10 +394,7 @@ def test_sweeps_across_chunk_boundaries_equal_stacked_run_cell_replays(kind, ind
     assert [ensemble._small_route(config.n, m) for m in config.m_values] == [True, False]
     stats = run_ensemble(config)
     for i, m in enumerate(config.m_values):
-        mean_k, std_k, mean_w = _replayed(config, m, config.s_values)
-        assert np.array_equal(stats.mean_K[i], mean_k)
-        assert np.array_equal(stats.std_K[i], std_k)
-        assert np.array_equal(stats.mean_captured_weight[i], mean_w)
+        _assert_record_equals_replays(stats, i, *_replayed(config, m, config.s_values))
 
 
 def test_stacked_walk_equals_one_state_at_a_time():
@@ -408,8 +408,8 @@ def test_stacked_walk_equals_one_state_at_a_time():
         evolved.append((u_a[:, rows] * coeffs) @ u_b[:, cols].T)
     stacked = ensemble._walk(np.stack(evolved), windows, ensemble._workspace(4, n, windows[-1]))
     for r, state in enumerate(evolved):
-        single, = ensemble._walk(state[None], windows, ensemble._workspace(1, n, windows[-1]))
-        assert stacked[r] == single, r
+        single = ensemble._walk(state[None], windows, ensemble._workspace(1, n, windows[-1]))
+        assert np.array_equal(stacked[:, r], single[:, 0]), r
 
 
 def test_walk_reuses_its_workspace():
@@ -428,7 +428,7 @@ def test_walk_reuses_its_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert second == first
+    assert np.array_equal(second, first)
     assert peak < n * n * np.dtype(complex).itemsize, peak
 
 
@@ -547,6 +547,20 @@ def test_std_K_is_exactly_zero_at_the_whole_space():
         assert stats.std_K[:, -1].tolist() == [0.0, 0.0], n
         assert stats.mean_K[:, -1].tolist() == [n - 1.0, n], n
         assert stats.mean_captured_weight[:, -1].tolist() == [1.0, 1.0], n
+
+
+def test_identical_draws_reduce_to_their_value():
+    # At n = m = s = 105 the closed form gives every draw the same K, which is
+    # not exactly m; the cell must report that value with a spread of 0.0, where
+    # numpy's mean of the ten draws rounds off it (104.99999999999997, std 1.4e-14).
+    config = SweepConfig(n=105, m_values=(105,), s_values=(105,), realizations=10, master_seed=7)
+    (_, k, _), = run_cell(105, 105, (105,), UnitaryKind.RANDOM_CUE, RngStream(7).child(0))
+    assert k != 105
+    stats = run_ensemble(config)
+    assert (stats.mean_K[0, 0], stats.std_K[0, 0]) == (k, 0.0)
+    point, = loss_sweep(config)
+    assert (point.mean_K, point.std_loss) == (k, 0.0)
+    assert np.all(stats.K == k)
 
 
 def test_progress_lines_leave_results_unchanged(monkeypatch, caplog):
