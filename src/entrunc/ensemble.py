@@ -10,17 +10,17 @@ with a spread of 0.0.
 Window kernel.  Per (realization, m) the state is C = A·Bᵀ with
 A = U_A[R, E]·β_E and B = U_B[R, E′], gathered through the m encoding
 columns E, E′ (read once per run, with β_E, from the sparse definition of β)
-and over only the rows R that the windows in hand read: all n rows for the
-walk below, the rows outside a wide anchor, else the central rows of the
-widest of them.  Window s has the trace moments w = tr G = tr ρ̃ (its
-weight) and q = tr G² = ‖G‖²_F = tr ρ̃², with G = C_W·C_W† the Gram of its
-central s×s block C_W.  Every path below writes the pair (w, q) into one
-(2, draws, |m|, |windows|) array of the run, and ``_collect`` alone forms the
-Schmidt number K = w²/q from it, once, over the whole array.  The windows
-are nested, so the kernel grows their Grams outward one shell (two levels)
-at a time from s = 3, by one of two routes that ``_small_route`` picks from
-(n, m) alone: m² ≤ 8n, fitted to the measured cost of both at n = 51 and
-n = 201.
+and over only the rows R that a read needs: all n rows for the walk below,
+the rows outside a wide anchor, and for every other window of the draw one
+gather of the central rows of the widest of them.  Window s has the trace
+moments w = tr G = tr ρ̃ (its weight) and q = tr G² = ‖G‖²_F = tr ρ̃², with
+G = C_W·C_W† the Gram of its central s×s block C_W.  Every path below
+writes the pair (w, q) into one (2, draws, |m|, |windows|) array of the run,
+and ``_collect`` alone forms the Schmidt number K = w²/q from it, once, over
+the whole array.  The windows are nested, so the kernel grows their Grams
+outward one shell (two levels) at a time from s = 3, by one of two routes
+that ``_small_route`` picks from (n, m) alone: m² ≤ 8n, fitted to the
+measured cost of both at n = 51 and n = 201.
 
 * The walk evolves the n×n state C in O(n²m), the only route that does,
   keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns W, adds
@@ -55,14 +55,18 @@ schmidt_number`` stays the single-window reference that the tests compare
 every window against.
 
 Chunks.  ``_collect`` draws realizations in chunks of R = ``_chunk(n)``,
-max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91.  Within a chunk only the
-walked windows are batched: ``_nested`` evolves the R states of one m into
-one stack and walks them in one call of ``_walk``, whose leading axis stacks
-the states, so each step is one batched product for the chunk.  The walk's
-buffers come from one ``_workspace`` per run.  The m×m route, the anchor and
-the one degenerate-weight check run draw by draw, the last two in
-realization order through ``_windows``.  :func:`run_cell` is a run of one
-draw: ``_collect`` over its one stream.
+max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91, and splits the kernel into
+batched and per-draw work.  ``_walk_chunk`` does the batched work and nothing
+else: it evolves the R states of one walk-route m into one stack and walks
+them in one call of ``_walk``, whose leading axis stacks the states, so each
+step is one batched product for the chunk; its buffers come from one
+``_workspace`` per run.  ``_windows`` does the rest, draw by draw in
+realization order: the m×m route (stacked over a chunk, its Grams cost more
+in page faults than they save in calls), the narrowest window's block and a
+narrow anchor, all off the draw's one gather of central rows, and a wide
+anchor off its outside rows; then it checks the degenerate-weight rule, so
+its errors keep realization order.  :func:`run_cell` is a run of one draw:
+``_collect`` over its one stream.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
@@ -285,13 +289,15 @@ def _walk(evolved: np.ndarray, wanted: list[int], workspace: _Workspace) -> np.n
     Gram at step s does not depend on ``wanted``, so neither does any value.
 
     Each step adds p·p† for the n×2 pair p of new columns, as one real
-    (n×4)·(4×2n) product into the Gram's float view (Re and Im interleaved):
-    with ℓ_i the float row (Re p_i1, Im p_i1, Re p_i2, Im p_i2), entry 2k of
-    row i is ℓ_i·ℓ_k = Re(p_i·p̄_k) and entry 2k + 1 is
-    ℓ_i·view(i·p_k) = Im(p_i·p̄_k).  OpenBLAS serves a complex product with an
-    inner dimension of 2 poorly: at n = 201 (OpenBLAS 0.3.31, 2 cores) one
-    such step took 77 µs at one thread and 113 µs at two, the real product
-    39 µs at either.
+    (n×4)·(4×2n) product into the Gram's float view (Re and Im interleaved).
+    Row i of its row factor is ℓ_i = (Re p_i1, Im p_i1, Re p_i2, Im p_i2); its
+    column factor is the float view of the complex 4×n stack
+    [p̄₁; i·p̄₁; p̄₂; i·p̄₂], whose column k holds ℓ_k in its real parts and
+    (−Im p_k1, Re p_k1, −Im p_k2, Re p_k2) in its imaginary ones, so entry 2k
+    of row i is Re(p_i·p̄_k) and entry 2k + 1 is Im(p_i·p̄_k).  OpenBLAS
+    serves a complex product with an inner dimension of 2 poorly: at n = 201
+    (OpenBLAS 0.3.31, 2 cores) one such step took 77 µs at one thread and
+    113 µs at two, the real product 39 µs at either.
     """
     count, n = len(evolved), evolved.shape[-1]
     steps = (wanted[-1] - 3) // 2
@@ -304,11 +310,9 @@ def _walk(evolved: np.ndarray, wanted: list[int], workspace: _Workspace) -> np.n
     pairs = rows.view(complex)  # (R, steps, n, 2): ℓ_i = p_i as floats
     pairs[..., 0] = evolved[..., lo - steps:lo][..., ::-1].swapaxes(-1, -2)
     pairs[..., 1] = evolved[..., lo + 3:lo + 3 + steps].swapaxes(-1, -2)
-    ell = rows.swapaxes(-1, -2)
-    both = cols.reshape(cols.shape[:-1] + (n, 2))  # a view: entries 2k and 2k + 1 of each column row
-    both[..., 0] = ell
-    np.negative(ell[..., 1::2, :], out=both[..., 0::2, :, 1])  # view(i·p) = (−Im p, Re p)
-    both[..., 1::2, :, 1] = ell[..., 0::2, :]
+    spread = cols.view(complex)  # (R, steps, 4, n): rows p̄₁, i·p̄₁, p̄₂, i·p̄₂
+    np.conjugate(pairs.swapaxes(-1, -2), out=spread[..., ::2, :])
+    np.multiply(spread[..., ::2, :], 1j, out=spread[..., 1::2, :])
     flat, step = gram.view(float), update.view(float)
     out = np.empty((2, count, len(wanted)))
     for k, s in enumerate(range(3, wanted[-1] + 1, 2), -1):
@@ -328,12 +332,6 @@ def _small_route(n: int, m: int) -> bool:
     and m² = 10n at one BLAS thread, and later at two.
     """
     return m * m <= 8 * n
-
-
-def _route(n: int, m: int, s_values: tuple[int, ...]) -> tuple[list[int], bool]:
-    """(nested, walk): every window but the anchor m | 1, and whether ``_walk`` reads them."""
-    nested = [s for s in s_values if s != m | 1]
-    return nested, bool(nested) and not _small_route(n, m)
 
 
 def _shell_grams(x: np.ndarray, levels: list[int]) -> np.ndarray:
@@ -393,51 +391,47 @@ def _read_outside(y_a: np.ndarray, y_b: np.ndarray, alpha: float) -> tuple[float
     return w, alpha * (w + t) + float(np.einsum("ij,ji->", rl, rl).real)
 
 
-def _encoding(dims: HilbertDims) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(m, rows, cols, β[rows, cols]): the m nonzero entries of ``make_initial_state(dims)``."""
-    return (dims.m, *_encoding_entries(dims))
-
-
-def _nested(
-    encoding: tuple, s_values: tuple[int, ...], pairs: list[tuple[np.ndarray, np.ndarray]],
+def _walk_chunk(
+    m: int, entries: tuple, s_values: tuple[int, ...], pairs: list[tuple[np.ndarray, np.ndarray]],
     workspace: _Workspace | None, out: np.ndarray,
 ) -> None:
-    """Write (w, q) of every window but the anchor, per (U_A, U_B) draw of ``pairs``, into ``out``.
+    """Write (w, q) of every window the walk reads, per (U_A, U_B) draw of ``pairs``, into ``out``.
 
-    ``out`` is the (2, R, len(s_values)) slice of the run's record for these
-    R draws.  They walk together, through one call of ``_walk`` on the stack
-    of their evolved states, with the buffers of ``workspace`` (for at least R
-    states; None only where no m of the run walks).
+    The walk reads every window but the anchor m | 1 of an m that
+    ``_small_route`` leaves to it; ``_windows`` reads every other window.
+    ``entries`` are the encoding's (rows, cols, β[rows, cols]), and ``out`` is
+    the (2, R, len(s_values)) slice of the run's record for these R draws.
+    They walk together, through one call of ``_walk`` on the stack of their
+    evolved states, with the buffers of ``workspace`` (for at least R states;
+    None only where no m of the run walks).
     """
-    m, rows, cols, coeffs = encoding
-    n = len(pairs[0][0])
-    nested, walk = _route(n, m, s_values)
-    if not nested:
+    walked = [s for s in s_values if s != m | 1]
+    if not walked or _small_route(len(pairs[0][0]), m):
         return
-    columns = np.array(s_values) != (m | 1)  # the nested windows' columns of the record
-    if not walk:  # one draw at a time: stacked, its Grams cost more in page faults than in calls
-        lo = (n - nested[-1]) // 2  # only the walk reads rows outside every window
-        for (u_a, u_b), row in zip(pairs, out.swapaxes(0, 1)):
-            row[:, columns] = _read_small(u_a[lo:n - lo, rows] * coeffs, u_b[lo:n - lo, cols], nested)
-        return
+    rows, cols, coeffs = entries
     evolved = workspace.update[:len(pairs)]
     for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
         a = u_a[:, rows]
         a *= coeffs
         np.matmul(a, u_b[:, cols].T, out=state)
-    out[..., columns] = _walk(evolved, nested, workspace)
+    out[..., np.array(s_values) != (m | 1)] = _walk(evolved, walked, workspace)
 
 
 def _windows(
-    encoding: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray, out: np.ndarray
+    m: int, entries: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray,
+    out: np.ndarray,
 ) -> None:
-    """Write the anchor's (w, q) into ``out`` and check the degenerate-weight rule (module doc).
+    """Write (w, q) of every window the walk does not read into ``out``; check the weight rule.
 
-    ``out`` is this draw's (2, len(s_values)) row of the run's record, whose
-    other windows ``_nested`` has written.
+    ``out`` is this draw's (2, len(s_values)) row of the run's record.  Those
+    windows are the anchor m | 1 and, where ``_small_route`` holds, every
+    other one.  All but a wide anchor are read off one gather of the central
+    rows of the widest of them, which also gives the block of the narrowest
+    window for the degenerate-weight rule (module doc).
     """
-    m, rows, cols, coeffs = encoding
+    rows, cols, coeffs = entries
     n, anchor, narrowest = len(u_a), m | 1, s_values[0]
+    small = [s for s in s_values if s != anchor] if _small_route(n, m) else []
     # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
     reads = {narrowest, anchor} & set(s_values)
     if anchor in reads and _outside_read(n, anchor):  # a wide anchor gets no block
@@ -446,14 +440,17 @@ def _windows(
         outside = np.arange(-lo, lo)[:, None]  # the last lo rows and the first lo
         out[:, s_values.index(anchor)] = _read_outside(u_a[outside, rows] * coeffs,
                                                        u_b[outside, cols], 1 / m)
-    if reads:  # the narrowest window is in it
-        lo = (n - max(reads)) // 2
+    if reads or small:  # the one gather of central rows
+        lo = (n - max(reads | set(small))) // 2
         a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
         a *= coeffs
+        if small:
+            out[:, np.array(s_values) != anchor] = _read_small(a, b, small)
         blocks = {s: _block(a, b, s) for s in reads}
         # freed before truncate's copy and the anchor's Gram: held, they cost a
         # loss sweep a quarter more page faults
         del a, b
+    if reads:  # the narrowest window is in it
         truncate(blocks[narrowest], narrowest)  # the degenerate-weight rule for every window
         if anchor in blocks:
             out[:, s_values.index(anchor)] = _read(blocks[anchor] @ blocks[anchor].conj().T)
@@ -507,40 +504,42 @@ def _collect(
     every m.  Realization j draws its pair once, from ``streams[j]`` (unused
     for the deterministic uniform kind), and evaluates every m against it.
     Realizations run in chunks of ``_chunk(n)``: a chunk draws its pairs in
-    index order, passes the nested windows of each m through ``_nested`` at
-    once, then finishes realization by realization, m by m, through
-    ``_windows`` (so the degenerate-weight check, its errors and the progress
-    lines keep realization order).  Both write (w, q) into one array of shape
-    (2, len(streams), len(config.m_values), len(windows[0])), over which
-    K = w²/q is formed once.  Returns K and w, each of the record's shape
+    index order, walks the walked windows of each m through ``_walk_chunk`` at
+    once, then reads every other window realization by realization, m by m,
+    through ``_windows`` (so the degenerate-weight check, its errors and the
+    progress lines keep realization order).  Both write (w, q) into one array
+    of shape (2, len(streams), len(config.m_values), len(windows[0])), over
+    which K = w²/q is formed once.  Returns K and w, each of the record's shape
     (len(streams), len(config.m_values), len(windows[0])).
     """
     n, draws = config.n, len(streams)
-    encodings = [_encoding(HilbertDims(n, m)) for m in config.m_values]
+    cells = [(m, _encoding_entries(HilbertDims(n, m)), s_values)
+             for m, s_values in zip(config.m_values, windows)]
     record = np.empty((2, draws, len(windows), len(windows[0])))
     chunk = min(draws, _chunk(n))
-    routes = [_route(n, m, s_values) for m, s_values in zip(config.m_values, windows)]
-    widest = max((walked[-1] for walked, walk in routes if walk), default=0)  # the longest walk
+    # the widest window walked: every window but the anchor of an m off the m×m route
+    widest = max((s for m, _, s_values in cells if not _small_route(n, m)
+                  for s in s_values if s != m | 1), default=0)
     workspace = _workspace(chunk, n, widest) if widest else None
     start = reported = monotonic()
     for first in range(0, draws, chunk):
         pairs = [_draw(n, config.unitary_kind, stream, config.independent_ab)
                  for stream in streams[first:first + chunk]]
-        for i, (encoding, s_values) in enumerate(zip(encodings, windows)):
-            _nested(encoding, s_values, pairs, workspace, record[:, first:first + chunk, i])
+        for i, (m, entries, s_values) in enumerate(cells):
+            _walk_chunk(m, entries, s_values, pairs, workspace, record[:, first:first + chunk, i])
         for j, (u_a, u_b) in enumerate(pairs, first):
-            for i, (encoding, s_values) in enumerate(zip(encodings, windows)):
+            for i, (m, entries, s_values) in enumerate(cells):
                 try:
-                    _windows(encoding, s_values, u_a, u_b, record[:, j, i])
+                    _windows(m, entries, s_values, u_a, u_b, record[:, j, i])
                 except DegenerateTruncationError as err:
-                    raise DegenerateTruncationError(f"realization {j}, m={encoding[0]}: {err}") from err
+                    raise DegenerateTruncationError(f"realization {j}, m={m}: {err}") from err
             now = monotonic()
             if now - reported >= PROGRESS_EVERY_S:
                 reported, rate = now, (j + 1) / (now - start)
                 logger.info("realization %d/%d, %.2f/s, ETA %.0f s",
                             j + 1, draws, rate, (draws - j - 1) / rate)
         del pairs, u_a, u_b  # free a lone draw before the next one allocates its own
-    logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(encodings))
+    logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(cells))
     w, q = record
     return w * w / q, w
 

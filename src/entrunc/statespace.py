@@ -31,11 +31,12 @@ __all__ = ["HilbertDims", "parity_flag", "make_initial_state"]
 def _check_int(name: str, value: int, low: int, high: int | None = None, odd: bool = False) -> None:
     """The one integer, range, parity and sign check: ``low <= value <= high``, odd if ``odd``.
 
-    Any ``numbers.Integral`` passes the type test (numpy integers included; a
-    float such as ``9.0`` does not).  The DimensionError message starts with
-    ``name``; the CLI maps that word to its flag.
+    Any ``numbers.Integral`` but a ``bool`` passes the type test (numpy
+    integers included; a float such as ``9.0`` does not, nor does ``True``,
+    which would run as 1).  The DimensionError message starts with ``name``;
+    the CLI maps that word to its flag.
     """
-    if (not isinstance(value, numbers.Integral) or value < low
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low
             or (high is not None and value > high) or (odd and value % 2 == 0)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         kind = "an odd integer" if odd else "an integer"

@@ -8,6 +8,7 @@ import pytest
 
 import entrunc.ensemble as ensemble
 import entrunc.pipeline as pipeline
+import entrunc.statespace as statespace
 from entrunc import (
     DegenerateTruncationError,
     DimensionError,
@@ -122,6 +123,11 @@ def test_run_cell_accepts_numpy_integers():
     assert replay == run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, RngStream(4))
 
 
+def _pairings(n, m_values):
+    """(m×m route, wide anchor) of each m: the kernel's two rules for (n, m)."""
+    return {(ensemble._small_route(n, m), ensemble._outside_read(n, m | 1)) for m in m_values}
+
+
 def _reference_chain(n, m, s, u_a, u_b):
     """(K, weight) of one window through the public single-window functions."""
     block = truncate(evolve(make_initial_state(HilbertDims(n, m)), u_a, u_b), s)
@@ -130,17 +136,19 @@ def _reference_chain(n, m, s, u_a, u_b):
 
 @pytest.mark.parametrize("independent_ab", [True, False])
 @pytest.mark.parametrize("kind", list(UnitaryKind))
-@pytest.mark.parametrize("n, m_values", [(9, (2, 3, 4, 9)), (11, (2, 5, 6, 10, 11)),
-                                         (15, (2, 7, 8, 14, 15)), (51, (5, 20, 21, 38, 50, 51))])
+@pytest.mark.parametrize("n, m_values", [(9, (2, 3, 4, 7, 9)), (11, (2, 5, 6, 9, 10, 11)),
+                                         (15, (2, 7, 8, 10, 14, 15)), (51, (5, 20, 21, 38, 50, 51))])
 def test_window_value_depends_only_on_draw_and_dimensions(n, m_values, kind, independent_ab):
     # The kernel grows one Gram from s = 3, through and past the anchor m | 1,
     # which it reads off the Gram of its own block or, when wide, off the rows
     # outside it; whichever windows are requested, each window's (K, weight)
     # must come out bit for bit the same, on either route.  The grid holds an m
-    # of each route that n admits, and anchors on both sides of ``_outside_read``.
+    # of each route that n admits, and anchors on both sides of ``_outside_read``;
+    # so also, where n admits it (n ≤ 15), an m×m-route m whose anchor is wide.
     assert ({ensemble._small_route(n, m) for m in m_values}
             == {ensemble._small_route(n, m) for m in range(2, n + 1)} == {True, False})
     assert {ensemble._outside_read(n, m | 1) for m in m_values} == {True, False}
+    assert _pairings(n, m_values) == _pairings(n, range(2, n + 1))
     windows = tuple(range(3, n + 1, 2))
     for j in range(2):
         stream = RngStream(31).child(j)
@@ -162,7 +170,7 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
     u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
     windows = list(range(3, n + 1, 2))
     for m in m_values:
-        _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
+        rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
         a, b = u_a[:, rows] * coeffs, u_b[:, cols]
         walked = ensemble._walk((a @ b.T)[None], windows, ensemble._workspace(1, n, n))[:, 0]
         small = ensemble._read_small(a, b, windows)
@@ -180,12 +188,12 @@ def test_wide_anchors_read_off_the_outside_rows_agree_with_their_block(n, kind, 
     wide = [s for s in range(3, n + 1, 2) if ensemble._outside_read(n, s)]
     assert wide and not ensemble._outside_read(n, wide[0] - 2)
     for s, m in [(s, m) for s in wide for m in (s - 1, s)]:
-        encoding = ensemble._encoding(HilbertDims(n, m))
-        _, rows, cols, coeffs = encoding
+        entries = statespace._encoding_entries(HilbertDims(n, m))
+        rows, cols, coeffs = entries
         block = ensemble._block(u_a[:, rows] * coeffs, u_b[:, cols], s)
         w_ref, q_ref = ensemble._read(block @ block.conj().T)
         out = np.empty((2, 1))  # this draw's record row, as a run of the one window s passes it
-        ensemble._windows(encoding, (s,), u_a, u_b, out)
+        ensemble._windows(m, entries, (s,), u_a, u_b, out)
         w, q = out[:, 0]
         assert w == pytest.approx(w_ref, rel=1e-13, abs=0), (s, m)
         assert q == pytest.approx(q_ref, rel=1e-13, abs=0), (s, m)
@@ -200,14 +208,43 @@ def test_anchor_windows_allocate_only_the_rows_they_read():
     state_bytes = n * n * np.dtype(complex).itemsize
     assert not ensemble._outside_read(n, 51) and ensemble._outside_read(n, 195)
     for m, bound in [(51, state_bytes), (195, state_bytes // 4)]:
-        encoding, out = ensemble._encoding(HilbertDims(n, m)), np.empty((2, 1))
+        entries, out = statespace._encoding_entries(HilbertDims(n, m)), np.empty((2, 1))
         tracemalloc.start()
         try:
-            ensemble._windows(encoding, (m,), u_a, u_b, out)  # s = m is the anchor: nothing nested
+            ensemble._windows(m, entries, (m,), u_a, u_b, out)  # s = m is the anchor: nothing nested
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound, (m, peak)
+
+
+@pytest.mark.parametrize("n, m_values, pairings", [
+    (51, (13, 25, 38), {(True, False), (False, False), (False, True)}),
+    (9, (7,), {(True, True)}),
+])
+def test_walk_and_windows_write_complementary_windows(n, m_values, pairings):
+    # ``_walk_chunk`` writes the windows the walk reads and ``_windows`` every
+    # other one: for one draw, each window is written by exactly one of them,
+    # and together they give the run's record row.  m of each route at n = 51,
+    # anchors on both sides of ``_outside_read``, and at n = 9 an m×m-route m
+    # whose anchor is wide.
+    assert _pairings(n, m_values) == pairings
+    windows = tuple(range(3, n + 1, 2))
+    stream = RngStream(17).child(0)
+    pair = ensemble._draw(n, UnitaryKind.RANDOM_CUE, stream, True)
+    for m in m_values:
+        entries = statespace._encoding_entries(HilbertDims(n, m))
+        walked, read = np.full((2, 1, len(windows)), np.nan), np.full((2, len(windows)), np.nan)
+        ensemble._walk_chunk(m, entries, windows, [pair], ensemble._workspace(1, n, n), walked)
+        ensemble._windows(m, entries, windows, *pair, read)
+        by_walk, by_windows = ~np.isnan(walked[:, 0]), ~np.isnan(read)
+        assert (by_walk[0] == by_walk[1]).all() and (by_windows[0] == by_windows[1]).all(), m
+        assert (by_walk[0] != by_windows[0]).all(), m  # complementary, and covering every window
+        assert by_walk[0].tolist() == [not ensemble._small_route(n, m) and s != m | 1
+                                       for s in windows], m
+        w, q = np.where(by_walk, walked[:, 0], read)
+        row = run_cell(n, m, windows, UnitaryKind.RANDOM_CUE, stream)
+        assert row == list(zip(windows, (w * w / q).tolist(), w.tolist())), m
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])
@@ -401,7 +438,7 @@ def test_stacked_walk_equals_one_state_at_a_time():
     # Leading axes stack states; each value must equal the one-state walk bit for bit.
     n, m = 51, 38
     windows = [s for s in range(3, n + 1, 2) if s != m | 1]
-    _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
+    rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
     evolved = []
     for j in range(4):
         u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(3).child(j), True)
@@ -417,7 +454,7 @@ def test_walk_reuses_its_workspace():
     # and the factor stacks of every step are the workspace's.
     n, m = 201, 201
     u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
-    _, rows, cols, coeffs = ensemble._encoding(HilbertDims(n, m))
+    rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
     evolved = ((u_a[:, rows] * coeffs) @ u_b[:, cols].T)[None]
     windows = list(range(3, n, 2))  # every window but the anchor s = n
     workspace = ensemble._workspace(1, n, windows[-1])

@@ -116,9 +116,18 @@ def test_dims_validation(n, m, s):
         ("m", lambda: SweepConfig(n=9, m_values=(2.5,), s_values=(3,))),
         ("n", lambda: SweepConfig(n=9.0, m_values=(3,), s_values=(3,))),
         ("s", lambda: SweepConfig(n=9, m_values=(3,), s_values=(11,))),
+        # a bool is an Integral, but not an integer of any of these rules
+        ("n", lambda: HilbertDims(True, 2)),
+        ("m", lambda: SweepConfig(n=9, m_values=(True,), s_values=(3,))),
+        ("s", lambda: SweepConfig(n=9, m_values=(3,), s_values=(True,))),
+        ("realizations", lambda: SweepConfig(n=9, m_values=(3,), s_values=(3, 9), realizations=True)),
+        ("master_seed", lambda: SweepConfig(n=9, m_values=(3,), s_values=(3, 9), master_seed=False)),
+        ("master_seed", lambda: RngStream(True)),
     ],
     ids=["HilbertDims-m", "HilbertDims-s", "SweepConfig", "RngStream", "truncate", "sample_cue",
-         "HilbertDims-m-float", "SweepConfig-m-float", "SweepConfig-n-float", "SweepConfig-s"],
+         "HilbertDims-m-float", "SweepConfig-m-float", "SweepConfig-n-float", "SweepConfig-s",
+         "HilbertDims-n-bool", "SweepConfig-m-bool", "SweepConfig-s-bool",
+         "SweepConfig-realizations-bool", "SweepConfig-master_seed-bool", "RngStream-bool"],
 )
 def test_integer_checks_name_their_parameter(name, build):
     with pytest.raises(DimensionError) as info:
