@@ -76,9 +76,13 @@ are requested, so :func:`loss_sweep` equals the diagonal of
 :func:`run_ensemble` exactly; nor on the chunk it ran in, since a batched
 product makes per draw the BLAS call a lone draw makes.  Realizations are
 drawn in index order, and statistics are reduced in fixed index order — so
-the output is bit-identical for a fixed master seed, numpy/BLAS build and
-BLAS thread count, and :func:`run_cell` replays any realization of any m in
-isolation: row j of a run's record equals ``run_cell(…, base.child(j))``.
+the output is bit-identical for a fixed master seed and numpy/BLAS build,
+and :func:`run_cell` replays any realization of any m in isolation: row j of
+a run's record equals ``run_cell(…, base.child(j))``.  Under an OpenBLAS
+with its thread setter, ``_collect`` runs each whole run on one BLAS thread
+(``unitaries._one_blas_thread``) and restores the caller's count after it,
+so no output byte depends on the BLAS thread count either; without the
+setter a run uses the caller's count, which can change the last digits.
 Runs log a progress line with rate and ETA at most every
 ``PROGRESS_EVERY_S`` seconds.  The ``workers`` argument of
 :func:`run_ensemble` and :func:`loss_sweep` is accepted for compatibility
@@ -99,7 +103,7 @@ import numpy as np
 from .errors import DegenerateTruncationError, DimensionError
 from .pipeline import _check_weight, truncate
 from .statespace import HilbertDims, _check_int, _encoding_entries
-from .unitaries import RngStream, sample_cue, uniform_spreading_unitary
+from .unitaries import RngStream, _one_blas_thread, sample_cue, uniform_spreading_unitary
 
 __all__ = [
     "UnitaryKind",
@@ -495,6 +499,7 @@ def _streams(config: SweepConfig) -> list[RngStream | None]:
     return [RngStream(config.master_seed).child(j) for j in range(config.realizations)]
 
 
+@_one_blas_thread()
 def _collect(
     config: SweepConfig, windows: list[tuple[int, ...]], streams: list[RngStream | None]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -510,7 +515,8 @@ def _collect(
     progress lines keep realization order).  Both write (w, q) into one array
     of shape (2, len(streams), len(config.m_values), len(windows[0])), over
     which K = w²/q is formed once.  Returns K and w, each of the record's shape
-    (len(streams), len(config.m_values), len(windows[0])).
+    (len(streams), len(config.m_values), len(windows[0])).  The whole run is
+    one ``_one_blas_thread`` scope, so no value depends on the BLAS thread count.
     """
     n, draws = config.n, len(streams)
     cells = [(m, _encoding_entries(HilbertDims(n, m)), s_values)

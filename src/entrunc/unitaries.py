@@ -6,7 +6,8 @@ unitary ensemble (Haar measure) via QR decomposition of a complex Ginibre
 matrix with the standard diagonal phase correction, and are reproducible:
 the same :class:`RngStream` always yields the same matrix for a fixed
 numpy/BLAS build.  Under OpenBLAS the QR runs on one BLAS thread
-(``_one_blas_thread``), so the draws do not depend on the BLAS thread count.
+(``_one_blas_thread``), so the draws do not depend on the BLAS thread count;
+the engine's runs enter the same scope (``ensemble._collect``).
 """
 
 from __future__ import annotations
@@ -35,22 +36,26 @@ except (AttributeError, OSError):  # another BLAS or an older OpenBLAS
     _set_blas_threads = None
 
 
-_blas_lock = threading.Lock()
+_blas_lock = threading.RLock()
 
 
 @contextmanager
 def _one_blas_thread():
     """Run the block on one BLAS thread, then restore the caller's count.
 
-    Without the setter the block runs as it is.  A one-thread complex QR
-    takes 0.6-0.99 of its two-thread time for n = 101 to 301 and the same at
-    n = 51; it is slower from about n = 400, a size no workload draws.  The
-    setter acts on the calling thread alone only in OpenBLAS's OpenMP builds;
-    its pthreads builds (numpy's wheels among them) keep one count for the
-    process.  The lock keeps scopes entered from two Python threads from
-    interleaving, so each restore pairs with its own set and the QR always
-    runs on one thread; BLAS calls that other threads make meanwhile also run
-    on one thread.
+    Without the setter the block runs as it is.  It scopes two things: each
+    Haar draw's QR (``sample_cue``) and each whole engine run
+    (``ensemble._collect``), so no output byte of a run depends on the BLAS
+    thread count.  A one-thread complex QR takes 0.6-0.99 of its two-thread
+    time for n = 101 to 301 and the same at n = 51; it is slower from about
+    n = 400, a size no workload draws.  A run's products are small enough
+    that the second thread mostly spins.  The setter acts on the calling
+    thread alone only in OpenBLAS's OpenMP builds; its pthreads builds
+    (numpy's wheels among them) keep one count for the process.  The lock is
+    re-entrant, so a draw's scope nests inside its run's, and it keeps scopes
+    entered from two Python threads from interleaving: each restore pairs
+    with its own set, runs and draws from several threads take turns, and
+    BLAS calls that other threads make meanwhile also run on one thread.
     """
     if _set_blas_threads is None:
         yield

@@ -1,5 +1,9 @@
+import hashlib
 import itertools
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +13,7 @@ import pytest
 import entrunc.ensemble as ensemble
 import entrunc.pipeline as pipeline
 import entrunc.statespace as statespace
+import entrunc.unitaries as unitaries
 from entrunc import (
     DegenerateTruncationError,
     DimensionError,
@@ -29,6 +34,7 @@ from entrunc import (
 )
 
 from oracles import SCHMIDT_N201_S101, TINY_ENSEMBLE, exact_annealed_purity
+from test_unitaries import _blas_threads, needs_setter
 
 
 # --- configuration validation ----------------------------------------------
@@ -377,6 +383,74 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.mean_K, threaded.mean_K)
     assert np.array_equal(serial.std_K, threaded.std_K)
     assert np.array_equal(serial.mean_captured_weight, threaded.mean_captured_weight)
+
+
+def _record_digests():
+    """SHA-256 of the (K, w) record of 2 draws of the README grid and of the ``loss201`` grid."""
+    readme = SweepConfig(201, (5, 25, 51, 101, 151, 201), tuple(range(3, 202, 2)),
+                         realizations=2, master_seed=7)
+    stats = run_ensemble(readme)
+    matched = tuple(range(3, 196, 8))
+    loss = SweepConfig(201, matched, matched, realizations=5, master_seed=7)
+    # the record that ``loss_sweep`` reduces
+    records = [(stats.K, stats.captured_weight),
+               ensemble._collect(loss, [(m,) for m in matched], ensemble._streams(loss))]
+    return [hashlib.sha256(k.tobytes() + w.tobytes()).hexdigest() for k, w in records]
+
+
+@needs_setter
+def test_records_do_not_depend_on_the_blas_thread_count():
+    # The m = 201 walk's evolve and the widest anchors are products whose bits
+    # follow the BLAS thread count unless the whole run is on one thread.
+    here = os.path.dirname(__file__)
+    script = "from test_ensemble import _record_digests; print(_record_digests())"
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(here, os.pardir, "src"), here, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        digests.add(out.stdout.strip())
+    assert digests == {str(_record_digests())}
+
+
+@needs_setter
+def test_runs_restore_the_callers_blas_thread_count(monkeypatch):
+    config = SweepConfig(n=51, m_values=(5, 38), s_values=(3, 5, 51), realizations=13)
+    caller = unitaries._set_blas_threads(2)
+    try:
+        run_ensemble(config)
+        assert _blas_threads() == 2
+        loss_sweep(SweepConfig(n=51, m_values=(5, 39), s_values=(5, 39), realizations=3))
+        assert _blas_threads() == 2
+        # every chunk of 6 draws walks m = 38 once, after its draws' own nested scopes
+        walk, seen = ensemble._walk, []
+
+        def watched(*args):
+            seen.append(_blas_threads())
+            return walk(*args)
+
+        monkeypatch.setattr(ensemble, "_walk", watched)
+        run_ensemble(config)
+        assert seen == [1, 1, 1]
+        assert _blas_threads() == 2
+        windows, calls = ensemble._windows, []
+
+        def failing(*args):
+            calls.append(_blas_threads())
+            if len(calls) == 5:
+                raise DegenerateTruncationError("degenerate")
+            return windows(*args)
+
+        monkeypatch.setattr(ensemble, "_windows", failing)
+        with pytest.raises(DegenerateTruncationError, match="realization 2, m=5"):
+            run_ensemble(config)
+        assert calls == [1] * 5
+        assert _blas_threads() == 2
+    finally:
+        unitaries._set_blas_threads(caller)
 
 
 def _replayed(config, m, windows):
