@@ -65,8 +65,12 @@ realization order: the m×m route (stacked over a chunk, its Grams cost more
 in page faults than they save in calls), the narrowest window's block and a
 narrow anchor, all off the draw's one gather of central rows, and a wide
 anchor off its outside rows; then it checks the degenerate-weight rule, so
-its errors keep realization order.  :func:`run_cell` is a run of one draw:
-``_collect`` over its one stream.
+its errors keep realization order.  Where a chunk is one draw and a run has
+more than one (``_pipelined``), the run's one worker thread reads draw j
+while the caller's thread draws j + 1, which it hands over once read j is
+done; the draws, their index order and every value stay as they are.
+:func:`run_cell` is a run of one draw: ``_collect`` over its one stream, so
+it never pipelines.
 
 Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
 and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
@@ -78,15 +82,19 @@ product makes per draw the BLAS call a lone draw makes.  Realizations are
 drawn in index order, and statistics are reduced in fixed index order — so
 the output is bit-identical for a fixed master seed and numpy/BLAS build,
 and :func:`run_cell` replays any realization of any m in isolation: row j of
-a run's record equals ``run_cell(…, base.child(j))``.  Under an OpenBLAS
-with its thread setter, ``_collect`` runs each whole run on one BLAS thread
+a run's record equals ``run_cell(…, base.child(j))``, on the pipelined path
+too, since a read on the worker thread makes the calls a serial read makes.
+Under an OpenBLAS with its thread setter, ``_collect`` runs each whole run,
+its worker thread included, on one BLAS thread
 (``unitaries._one_blas_thread``) and restores the caller's count after it,
 so no output byte depends on the BLAS thread count either; without the
 setter a run uses the caller's count, which can change the last digits.
-Runs log a progress line with rate and ETA at most every
-``PROGRESS_EVERY_S`` seconds.  The ``workers`` argument of
-:func:`run_ensemble` and :func:`loss_sweep` is accepted for compatibility
-and has no effect.
+A pipelined run raises the error the serial order meets first, and its
+worker thread ends with the run, raising or not.  Runs log a progress line
+with rate and ETA at most every ``PROGRESS_EVERY_S`` seconds.  The
+``workers`` argument of :func:`run_ensemble` and :func:`loss_sweep` is
+accepted for compatibility and has no effect: a run's one worker thread
+does not depend on it.
 """
 
 from __future__ import annotations
@@ -103,7 +111,9 @@ import numpy as np
 from .errors import DegenerateTruncationError, DimensionError
 from .pipeline import _check_weight, truncate
 from .statespace import HilbertDims, _check_int, _encoding_entries
-from .unitaries import RngStream, _one_blas_thread, sample_cue, uniform_spreading_unitary
+from .unitaries import (
+    RngStream, _one_blas_thread, _set_blas_threads, sample_cue, uniform_spreading_unitary,
+)
 
 __all__ = [
     "UnitaryKind",
@@ -499,6 +509,20 @@ def _streams(config: SweepConfig) -> list[RngStream | None]:
     return [RngStream(config.master_seed).child(j) for j in range(config.realizations)]
 
 
+def _pipelined(n: int, draws: int) -> bool:
+    """Whether a run reads draw j on a worker thread while it draws j + 1 (``_collect``).
+
+    Where a chunk is one draw (n ≥ 91) and there are at least two, the Haar
+    draw, about 60% of a ``loss201`` pass, runs alongside the reads of the draw
+    before it.  Timed serial → pipelined on loss grids: n = 51 0.050 → 0.079 s
+    (its chunks of 6 batch the reads instead), n = 71 level, n = 91 0.075 →
+    0.064 s, n = 131 0.107 → 0.074 s.  Where walks make most of the reads
+    (README's n = 201 grid) the gain is small: a walk slows down while a
+    draw runs alongside it.
+    """
+    return draws >= 2 and _chunk(n) == 1
+
+
 @_one_blas_thread()
 def _collect(
     config: SweepConfig, windows: list[tuple[int, ...]], streams: list[RngStream | None]
@@ -512,11 +536,17 @@ def _collect(
     index order, walks the walked windows of each m through ``_walk_chunk`` at
     once, then reads every other window realization by realization, m by m,
     through ``_windows`` (so the degenerate-weight check, its errors and the
-    progress lines keep realization order).  Both write (w, q) into one array
-    of shape (2, len(streams), len(config.m_values), len(windows[0])), over
-    which K = w²/q is formed once.  Returns K and w, each of the record's shape
-    (len(streams), len(config.m_values), len(windows[0])).  The whole run is
-    one ``_one_blas_thread`` scope, so no value depends on the BLAS thread count.
+    progress lines keep realization order).  Where ``_pipelined`` holds, one
+    worker thread of the run reads chunk j (one draw) while this thread draws
+    j + 1, and this thread waits for read j before it hands over j + 1: one
+    workspace and at most two pairs are alive, and an error of read j wins
+    over one of draw j + 1, as in the serial order.  The draws stay on this
+    thread, which holds the run's BLAS scope (``sample_cue`` enters it too).
+    Both write (w, q) into one array of shape (2, len(streams),
+    len(config.m_values), len(windows[0])), over which K = w²/q is formed
+    once.  Returns K and w, each of the record's shape (len(streams),
+    len(config.m_values), len(windows[0])).  The whole run is one
+    ``_one_blas_thread`` scope, so no value depends on the BLAS thread count.
     """
     n, draws = config.n, len(streams)
     cells = [(m, _encoding_entries(HilbertDims(n, m)), s_values)
@@ -528,9 +558,13 @@ def _collect(
                   for s in s_values if s != m | 1), default=0)
     workspace = _workspace(chunk, n, widest) if widest else None
     start = reported = monotonic()
-    for first in range(0, draws, chunk):
-        pairs = [_draw(n, config.unitary_kind, stream, config.independent_ab)
-                 for stream in streams[first:first + chunk]]
+
+    def draw(first: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [_draw(n, config.unitary_kind, stream, config.independent_ab)
+                for stream in streams[first:first + chunk]]
+
+    def read(first: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        nonlocal reported
         for i, (m, entries, s_values) in enumerate(cells):
             _walk_chunk(m, entries, s_values, pairs, workspace, record[:, first:first + chunk, i])
         for j, (u_a, u_b) in enumerate(pairs, first):
@@ -544,7 +578,24 @@ def _collect(
                 reported, rate = now, (j + 1) / (now - start)
                 logger.info("realization %d/%d, %.2f/s, ETA %.0f s",
                             j + 1, draws, rate, (draws - j - 1) / rate)
-        del pairs, u_a, u_b  # free a lone draw before the next one allocates its own
+
+    if not _pipelined(n, draws):
+        for first in range(0, draws, chunk):
+            read(first, draw(first))  # a lone draw is freed before the next one allocates its own
+    else:
+        # imported here: its 4 ms would go to the start-up of every run_cell and small-n run
+        from concurrent.futures import ThreadPoolExecutor
+
+        # an OpenMP BLAS keeps a count per thread: the reader sets its own to the run's one
+        with ThreadPoolExecutor(1, initializer=_set_blas_threads, initargs=(1,)) as reader:
+            reading = reader.submit(read, 0, draw(0))
+            for j in range(1, draws):
+                try:
+                    pairs = draw(j)
+                finally:  # read j − 1 comes before draw j in the serial order, and so do its errors
+                    reading.result()
+                reading = reader.submit(read, j, pairs)
+            reading.result()
     logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(cells))
     w, q = record
     return w * w / q, w

@@ -55,7 +55,11 @@ def _one_blas_thread():
     re-entrant, so a draw's scope nests inside its run's, and it keeps scopes
     entered from two Python threads from interleaving: each restore pairs
     with its own set, runs and draws from several threads take turns, and
-    BLAS calls that other threads make meanwhile also run on one thread.
+    BLAS calls that other threads make meanwhile also run on one thread.  So
+    the worker thread of a pipelined run, which reads while the run's own
+    thread draws, must not enter the scope: the run holds the lock until its
+    worker is done.  It sets its own count to one instead, which an OpenMP
+    build needs and a pthreads build already has.
     """
     if _set_blas_threads is None:
         yield

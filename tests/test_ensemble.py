@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -506,6 +507,134 @@ def test_sweeps_across_chunk_boundaries_equal_stacked_run_cell_replays(kind, ind
     stats = run_ensemble(config)
     for i, m in enumerate(config.m_values):
         _assert_record_equals_replays(stats, i, *_replayed(config, m, config.s_values))
+
+
+def test_pipelined_runs_are_the_n_from_91_runs_of_two_or_more_draws():
+    # The rule: a run pipelines where a chunk is one draw and it has a next one.
+    assert [ensemble._chunk(n) for n in (51, 71, 89, 91, 201)] == [6, 3, 2, 1, 1]
+    assert [ensemble._pipelined(n, draws) for n, draws in [
+        (51, 100), (71, 100), (89, 100), (91, 1), (91, 2), (201, 1), (201, 100)]] == [
+        False, False, False, False, True, False, True]
+
+
+@pytest.mark.parametrize("n, draws", [(51, 13), (91, 1), (91, 3), (201, 2)])
+def test_pipelined_runs_read_on_one_worker_thread(monkeypatch, n, draws):
+    # The draws stay on the caller's thread; the reads move to one thread of
+    # the run exactly where ``_pipelined`` holds, and that thread ends with it.
+    windows, draw, readers, drawers = ensemble._windows, ensemble._draw, [], []
+
+    def read(*args):
+        readers.append(threading.get_ident())
+        return windows(*args)
+
+    def drawn(*args):
+        drawers.append(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(ensemble, "_windows", read)
+    monkeypatch.setattr(ensemble, "_draw", drawn)
+    before = threading.active_count()
+    run_ensemble(SweepConfig(n=n, m_values=(5, n), s_values=(5, n), realizations=draws))
+    assert threading.active_count() == before
+    assert set(drawers) == {threading.get_ident()} and len(readers) == 2 * draws
+    assert (set(readers) != set(drawers)) is ensemble._pipelined(n, draws)
+    assert len(set(readers)) == 1
+
+
+@pytest.mark.parametrize("n, m_values, s_values, draws", [
+    # each route and each anchor read at n = 91
+    (91, (5, 13, 27, 40, 61, 91), tuple(range(3, 92, 2)), 3),
+    # the ``loss201`` grid (the record ``loss_sweep`` reduces)
+    (201, tuple(range(3, 196, 8)), None, 3),
+])
+def test_pipelined_runs_equal_run_cell_replays(n, m_values, s_values, draws):
+    assert ensemble._pipelined(n, draws)
+    config = SweepConfig(n, m_values, s_values or m_values, realizations=draws, master_seed=7)
+    assert {ensemble._small_route(n, m) for m in m_values} == {True, False}
+    assert {ensemble._outside_read(n, m | 1) for m in m_values} == {True, False}
+    windows = [config.s_values] * len(m_values) if s_values else [(m,) for m in m_values]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the two threads trade the interpreter lock 500 times as often
+    try:
+        k, w = ensemble._collect(config, windows, ensemble._streams(config))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, m in enumerate(m_values):
+        k_m, w_m = _replayed(config, m, windows[i])
+        assert np.array_equal(k[:, i], k_m) and np.array_equal(w[:, i], w_m), m
+
+
+def _pipelined_failure(monkeypatch, serial):
+    """The error of a failing pipelined run, or of the same run forced serial; checks what it leaves behind."""
+    if serial:
+        monkeypatch.setattr(ensemble, "_pipelined", lambda n, draws: False)
+    config = SweepConfig(n=91, m_values=(5, 40), s_values=(5, 41), realizations=4)
+    setter, before = unitaries._set_blas_threads, threading.active_count()
+    caller = setter(2) if setter else None
+    try:
+        with pytest.raises(Exception) as err:
+            run_ensemble(config)
+        assert threading.active_count() == before
+        assert not setter or _blas_threads() == 2
+    finally:
+        if setter:
+            setter(caller)
+    return type(err.value), str(err.value)
+
+
+def test_pipelined_read_errors_are_the_serial_ones(monkeypatch):
+    # A read that raises at realization j ≥ 1 gives the serial path's message,
+    # and neither the reader thread nor the run's BLAS count outlives the run.
+    windows, calls = ensemble._windows, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 5:  # realization 2, m = 5
+            raise DegenerateTruncationError("degenerate")
+        return windows(*args)
+
+    monkeypatch.setattr(ensemble, "_windows", failing)
+    errors = []
+    for serial in (False, True):
+        calls.clear()
+        errors.append(_pipelined_failure(monkeypatch, serial))
+    assert errors[0] == errors[1] == (DegenerateTruncationError, "realization 2, m=5: degenerate")
+
+
+@pytest.mark.parametrize("read_fails", [False, True])
+def test_pipelined_draw_errors_wait_for_the_read_in_flight(monkeypatch, read_fails):
+    # Draw 2 raises while read 1 is in flight.  The run lets the read finish and
+    # then raises what the serial order meets first: read 1's error if it has
+    # one, else the draw's.
+    windows, draw, calls, draws, drawing = ensemble._windows, ensemble._draw, [], [], threading.Event()
+
+    def read(*args):
+        calls.append(args)
+        if len(calls) == 3:  # realization 1, m = 5
+            if threading.current_thread() is not threading.main_thread():
+                assert drawing.wait(60)  # draw 2 has started
+            if read_fails:
+                raise DegenerateTruncationError("degenerate")
+        return windows(*args)
+
+    def failing(*args):
+        draws.append(args)
+        if len(draws) == 3:
+            drawing.set()
+            raise RuntimeError("draw failed")
+        return draw(*args)
+
+    monkeypatch.setattr(ensemble, "_windows", read)
+    monkeypatch.setattr(ensemble, "_draw", failing)
+    errors = []
+    for serial in (False, True):
+        calls.clear()
+        draws.clear()
+        errors.append(_pipelined_failure(monkeypatch, serial))
+        assert len(calls) == 4 - read_fails  # read 1 ran to its end or its error
+    expected = ((DegenerateTruncationError, "realization 1, m=5: degenerate") if read_fails
+                else (RuntimeError, "draw failed"))
+    assert errors[0] == errors[1] == expected
 
 
 def test_stacked_walk_equals_one_state_at_a_time():
