@@ -342,8 +342,8 @@ def _small_route(n: int, m: int) -> bool:
     """Whether the windows of (n, m) are read off m×m Grams (``_read_small``), not walked.
 
     The walk costs O(n³) whatever m is; the m×m route grows with m.  Timed
-    on one draw at n = 51 and n = 201, the two break even between m² = 9n
-    and m² = 10n at one BLAS thread, and later at two.
+    on one draw at the run's one BLAS thread, the two break even near m = 21
+    at n = 51 and m = 43 at n = 201, both near m² = 9n.
     """
     return m * m <= 8 * n
 
@@ -377,9 +377,9 @@ def _outside_read(n: int, s: int) -> bool:
     """Whether anchor window s is read off the n − s rows outside it (``_read_outside``).
 
     The anchor's own block and its Gram cost O(s²m + s³), the rows outside
-    O((n − s)²m).  Timed with m = s on one draw at the default two BLAS
-    threads, the two break even near s = 37 at n = 51 and s = 129 at
-    n = 201, on either side of 3s = 2n.  The rule reads (n, s) alone, so a
+    O((n − s)²m).  Timed with m = s on one draw at the run's one BLAS
+    thread, the two break even near s = 30 at n = 51 and s = 125 at
+    n = 201, a little below 3s = 2n.  The rule reads (n, s) alone, so a
     window's value still depends only on the draw and (n, m, s).
     """
     return 3 * s >= 2 * n

@@ -76,7 +76,8 @@ def _one_blas_thread():
 class RngStream:
     """Addressable, reproducible random stream.
 
-    A stream is identified by a 64-bit master seed plus a tuple key; the key
+    A stream is identified by a master seed (any integer ≥ 0, of any width;
+    ``SeedSequence`` takes every bit of it) plus a tuple key; the key
     is fed to ``numpy.random.SeedSequence`` as the spawn key, so distinct
     keys give statistically independent streams and identical keys reproduce
     bit-identical draws.  Ensemble code derives one stream per realization

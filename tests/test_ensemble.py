@@ -130,6 +130,18 @@ def test_run_cell_accepts_numpy_integers():
     assert replay == run_cell(9, 3, (5,), UnitaryKind.RANDOM_CUE, RngStream(4))
 
 
+def test_seeds_wider_than_64_bits_replay_bit_identically():
+    seed, s_values = 2**70, (3, 5, 9)
+    stats = run_ensemble(SweepConfig(n=9, m_values=(3,), s_values=s_values, realizations=2,
+                                     master_seed=seed))
+    for j in range(2):
+        replay = run_cell(9, 3, s_values, UnitaryKind.RANDOM_CUE, RngStream(seed).child(j))
+        assert [k for _, k, _ in replay] == stats.K[j, 0].tolist()
+        assert [w for _, _, w in replay] == stats.captured_weight[j, 0].tolist()
+    # the bits above 64 reach the draw: the seed is not cut to its low 64 bits
+    assert replay != run_cell(9, 3, s_values, UnitaryKind.RANDOM_CUE, RngStream(seed % 2**64).child(1))
+
+
 def _pairings(n, m_values):
     """(m×m route, wide anchor) of each m: the kernel's two rules for (n, m)."""
     return {(ensemble._small_route(n, m), ensemble._outside_read(n, m | 1)) for m in m_values}
