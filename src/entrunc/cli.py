@@ -11,7 +11,8 @@ plot             render a saved result table (CSV/JSON) to SVG
 Exit codes: 0 success; 2 usage error (a bad flag value, an --out that names
 no file, a missing --out directory, an --out that is a directory or cannot be
 written, or a plot input that cannot be read or parsed, is empty, names a
-column twice or holds a row that breaks the dimension rules); 3
+column twice, holds a row that breaks the dimension rules or, in a
+``run_kind=loss`` table, holds a row with s ≠ m); 3
 numerical failure only (a window capturing no state weight, a non-finite
 purity); 4 conjecture check failed the tolerance.
 

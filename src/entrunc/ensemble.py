@@ -50,9 +50,11 @@ the check is a ``truncate`` of it, and one block serves it and a narrow
 anchor when they coincide; a wide anchor has no block, and its w goes
 through ``pipeline._check_weight``, the rule ``truncate`` applies.  So a
 loss sweep (s = m) takes neither route and allocates no n×n array beyond
-the Haar pair.  The public chain ``truncate → reduced_purity →
-schmidt_number`` stays the single-window reference that the tests compare
-every window against.
+the Haar pair.  ``_plan`` is the one place that applies these rules: once
+per (run, m), it splits the requested windows among the walk, the m×m
+Grams, the blocks and the outside read, and the readers take its plan.  The
+public chain ``truncate → reduced_purity → schmidt_number`` stays the
+single-window reference that the tests compare every window against.
 
 Chunks.  ``_collect`` draws realizations in chunks of R = ``_chunk(n)``,
 max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91, and splits the kernel into
@@ -405,69 +407,82 @@ def _read_outside(y_a: np.ndarray, y_b: np.ndarray, alpha: float) -> tuple[float
     return w, alpha * (w + t) + float(np.einsum("ij,ji->", rl, rl).real)
 
 
-def _walk_chunk(
-    m: int, entries: tuple, s_values: tuple[int, ...], pairs: list[tuple[np.ndarray, np.ndarray]],
-    workspace: _Workspace | None, out: np.ndarray,
-) -> None:
-    """Write (w, q) of every window the walk reads, per (U_A, U_B) draw of ``pairs``, into ``out``.
+def _plan(n: int, m: int, s_values: tuple[int, ...]) -> tuple:
+    """Which reader takes each window of (n, m, ``s_values``): the one place the route rules apply.
 
-    The walk reads every window but the anchor m | 1 of an m that
-    ``_small_route`` leaves to it; ``_windows`` reads every other window.
-    ``entries`` are the encoding's (rows, cols, β[rows, cols]), and ``out`` is
-    the (2, R, len(s_values)) slice of the run's record for these R draws.
-    They walk together, through one call of ``_walk`` on the stack of their
-    evolved states, with the buffers of ``workspace`` (for at least R states;
-    None only where no m of the run walks).
+    Returns (walked, small, nested, anchor, blocks, wide).  Every window but
+    the anchor s* = m | 1 goes to the walk (``walked``) or, where
+    ``_small_route`` holds, to the m×m Grams (``small``); the other list is
+    empty, and ``nested`` masks both in ``s_values``.  ``blocks`` are the
+    windows read off their own block: the narrowest, for the degenerate-weight
+    rule, unless it is a wide anchor, and a narrow anchor.  ``wide`` says
+    whether the anchor is requested and read off its outside rows
+    (``_outside_read``).  The rules read (n, m, s) alone, so ``_collect`` plans
+    each m once per run.
     """
-    walked = [s for s in s_values if s != m | 1]
-    if not walked or _small_route(len(pairs[0][0]), m):
-        return
-    rows, cols, coeffs = entries
+    anchor = m | 1
+    nested = [s for s in s_values if s != anchor]
+    wide = anchor in s_values and _outside_read(n, anchor)
+    blocks = {s_values[0], anchor} & set(s_values) - ({anchor} if wide else set())
+    walked, small = ([], nested) if _small_route(n, m) else (nested, [])
+    return walked, small, np.array(s_values) != anchor, anchor, blocks, wide
+
+
+def _walk_chunk(
+    entries: tuple, plan: tuple, pairs: list[tuple], workspace: _Workspace, out: np.ndarray
+) -> None:
+    """Write (w, q) of the windows the walk reads, per (U_A, U_B) draw of ``pairs``, into ``out``.
+
+    ``plan`` (from ``_plan``) names those windows, at least one; ``_windows``
+    reads every other window.  ``entries`` are the encoding's (rows, cols,
+    β[rows, cols]), and ``out`` is the (2, R, len(s_values)) slice of the run's
+    record for these R draws.  They walk together, through one call of
+    ``_walk`` on the stack of their evolved states, with the buffers of
+    ``workspace`` (for at least R states).
+    """
+    (rows, cols, coeffs), (walked, _, nested, *_) = entries, plan
     evolved = workspace.update[:len(pairs)]
     for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
         a = u_a[:, rows]
         a *= coeffs
         np.matmul(a, u_b[:, cols].T, out=state)
-    out[..., np.array(s_values) != (m | 1)] = _walk(evolved, walked, workspace)
+    out[..., nested] = _walk(evolved, walked, workspace)
 
 
 def _windows(
-    m: int, entries: tuple, s_values: tuple[int, ...], u_a: np.ndarray, u_b: np.ndarray,
-    out: np.ndarray,
+    m: int, entries: tuple, s_values: tuple[int, ...], plan: tuple, u_a: np.ndarray,
+    u_b: np.ndarray, out: np.ndarray,
 ) -> None:
     """Write (w, q) of every window the walk does not read into ``out``; check the weight rule.
 
-    ``out`` is this draw's (2, len(s_values)) row of the run's record.  Those
-    windows are the anchor m | 1 and, where ``_small_route`` holds, every
-    other one.  All but a wide anchor are read off one gather of the central
-    rows of the widest of them, which also gives the block of the narrowest
-    window for the degenerate-weight rule (module doc).
+    ``out`` is this draw's (2, len(s_values)) row of the run's record, and
+    ``plan`` is ``_plan(n, m, s_values)``.  Those windows are the anchor and
+    the windows of the m×m Grams.  All but a wide anchor are read off one
+    gather of the central rows of the widest of them, which also gives the
+    block of the narrowest window for the degenerate-weight rule (module doc).
     """
-    rows, cols, coeffs = entries
-    n, anchor, narrowest = len(u_a), m | 1, s_values[0]
-    small = [s for s in s_values if s != anchor] if _small_route(n, m) else []
-    # the narrowest window and the anchor; one block when they coincide, as in a loss sweep
-    reads = {narrowest, anchor} & set(s_values)
-    if anchor in reads and _outside_read(n, anchor):  # a wide anchor gets no block
-        reads.remove(anchor)
+    (rows, cols, coeffs), (_, small, nested, anchor, blocks, wide) = entries, plan
+    n, narrowest = len(u_a), s_values[0]
+    if wide:  # a wide anchor gets no block
         lo = (n - anchor) // 2
         outside = np.arange(-lo, lo)[:, None]  # the last lo rows and the first lo
         out[:, s_values.index(anchor)] = _read_outside(u_a[outside, rows] * coeffs,
                                                        u_b[outside, cols], 1 / m)
-    if reads or small:  # the one gather of central rows
-        lo = (n - max(reads | set(small))) // 2
+    if blocks or small:  # the one gather of central rows
+        lo = (n - max(blocks | set(small))) // 2
         a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
         a *= coeffs
         if small:
-            out[:, np.array(s_values) != anchor] = _read_small(a, b, small)
-        blocks = {s: _block(a, b, s) for s in reads}
+            out[:, nested] = _read_small(a, b, small)
+        # one block serves the narrowest window and a narrow anchor when they coincide, as in a loss sweep
+        block = {s: _block(a, b, s) for s in blocks}
         # freed before truncate's copy and the anchor's Gram: held, they cost a
         # loss sweep a quarter more page faults
         del a, b
-    if reads:  # the narrowest window is in it
-        truncate(blocks[narrowest], narrowest)  # the degenerate-weight rule for every window
-        if anchor in blocks:
-            out[:, s_values.index(anchor)] = _read(blocks[anchor] @ blocks[anchor].conj().T)
+    if blocks:  # the narrowest window is in it
+        truncate(block[narrowest], narrowest)  # the degenerate-weight rule for every window
+        if anchor in block:
+            out[:, s_values.index(anchor)] = _read(block[anchor] @ block[anchor].conj().T)
     else:  # the narrowest window is a wide anchor: the same rule on its weight
         _check_weight(out[0, 0], narrowest)
 
@@ -530,13 +545,15 @@ def _collect(
     """The record (K, weight) of one draw per stream of ``streams``, for every m.
 
     ``windows[i]`` are the windows of ``config.m_values[i]``, equally many for
-    every m.  Realization j draws its pair once, from ``streams[j]`` (unused
-    for the deterministic uniform kind), and evaluates every m against it.
-    Realizations run in chunks of ``_chunk(n)``: a chunk draws its pairs in
-    index order, walks the walked windows of each m through ``_walk_chunk`` at
-    once, then reads every other window realization by realization, m by m,
-    through ``_windows`` (so the degenerate-weight check, its errors and the
-    progress lines keep realization order).  Where ``_pipelined`` holds, one
+    every m; the run plans each m once (``_plan``) and sizes its walk buffers
+    from the walked windows.  Realization j draws its pair once, from
+    ``streams[j]`` (unused for the deterministic uniform kind), and evaluates
+    every m against it.  Realizations run in chunks of ``_chunk(n)``: a chunk
+    draws its pairs in index order, walks the walked windows of each m that
+    walks through ``_walk_chunk`` at once, then reads every other window
+    realization by realization, m by m, through ``_windows`` (so the
+    degenerate-weight check, its errors and the progress lines keep
+    realization order).  Where ``_pipelined`` holds, one
     worker thread of the run reads chunk j (one draw) while this thread draws
     j + 1, and this thread waits for read j before it hands over j + 1: one
     workspace and at most two pairs are alive, and an error of read j wins
@@ -549,13 +566,11 @@ def _collect(
     ``_one_blas_thread`` scope, so no value depends on the BLAS thread count.
     """
     n, draws = config.n, len(streams)
-    cells = [(m, _encoding_entries(HilbertDims(n, m)), s_values)
+    cells = [(m, _encoding_entries(HilbertDims(n, m)), s_values, _plan(n, m, s_values))
              for m, s_values in zip(config.m_values, windows)]
     record = np.empty((2, draws, len(windows), len(windows[0])))
     chunk = min(draws, _chunk(n))
-    # the widest window walked: every window but the anchor of an m off the m×m route
-    widest = max((s for m, _, s_values in cells if not _small_route(n, m)
-                  for s in s_values if s != m | 1), default=0)
+    widest = max((plan[0][-1] for *_, plan in cells if plan[0]), default=0)  # the widest walked window
     workspace = _workspace(chunk, n, widest) if widest else None
     start = reported = monotonic()
 
@@ -565,12 +580,13 @@ def _collect(
 
     def read(first: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
         nonlocal reported
-        for i, (m, entries, s_values) in enumerate(cells):
-            _walk_chunk(m, entries, s_values, pairs, workspace, record[:, first:first + chunk, i])
+        for i, (_, entries, _, plan) in enumerate(cells):
+            if plan[0]:  # an m that walks
+                _walk_chunk(entries, plan, pairs, workspace, record[:, first:first + chunk, i])
         for j, (u_a, u_b) in enumerate(pairs, first):
-            for i, (m, entries, s_values) in enumerate(cells):
+            for i, (m, entries, s_values, plan) in enumerate(cells):
                 try:
-                    _windows(m, entries, s_values, u_a, u_b, record[:, j, i])
+                    _windows(m, entries, s_values, plan, u_a, u_b, record[:, j, i])
                 except DegenerateTruncationError as err:
                     raise DegenerateTruncationError(f"realization {j}, m={m}: {err}") from err
             now = monotonic()

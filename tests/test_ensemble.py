@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import entrunc.ensemble as ensemble
 import entrunc.pipeline as pipeline
@@ -143,8 +144,9 @@ def test_seeds_wider_than_64_bits_replay_bit_identically():
 
 
 def _pairings(n, m_values):
-    """(m×m route, wide anchor) of each m: the kernel's two rules for (n, m)."""
-    return {(ensemble._small_route(n, m), ensemble._outside_read(n, m | 1)) for m in m_values}
+    """(m×m route, wide anchor) of each m over every window of n, as ``_plan`` splits them."""
+    plans = [ensemble._plan(n, m, tuple(range(3, n + 1, 2))) for m in m_values]
+    return {(not walked, wide) for walked, *_, wide in plans}
 
 
 def _reference_chain(n, m, s, u_a, u_b):
@@ -212,7 +214,7 @@ def test_wide_anchors_read_off_the_outside_rows_agree_with_their_block(n, kind, 
         block = ensemble._block(u_a[:, rows] * coeffs, u_b[:, cols], s)
         w_ref, q_ref = ensemble._read(block @ block.conj().T)
         out = np.empty((2, 1))  # this draw's record row, as a run of the one window s passes it
-        ensemble._windows(m, entries, (s,), u_a, u_b, out)
+        ensemble._windows(m, entries, (s,), ensemble._plan(n, m, (s,)), u_a, u_b, out)
         w, q = out[:, 0]
         assert w == pytest.approx(w_ref, rel=1e-13, abs=0), (s, m)
         assert q == pytest.approx(q_ref, rel=1e-13, abs=0), (s, m)
@@ -230,7 +232,8 @@ def test_anchor_windows_allocate_only_the_rows_they_read():
         entries, out = statespace._encoding_entries(HilbertDims(n, m)), np.empty((2, 1))
         tracemalloc.start()
         try:
-            ensemble._windows(m, entries, (m,), u_a, u_b, out)  # s = m is the anchor: nothing nested
+            # s = m is the anchor: nothing nested
+            ensemble._windows(m, entries, (m,), ensemble._plan(n, m, (m,)), u_a, u_b, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,17 +256,40 @@ def test_walk_and_windows_write_complementary_windows(n, m_values, pairings):
     pair = ensemble._draw(n, UnitaryKind.RANDOM_CUE, stream, True)
     for m in m_values:
         entries = statespace._encoding_entries(HilbertDims(n, m))
+        plan = ensemble._plan(n, m, windows)
         walked, read = np.full((2, 1, len(windows)), np.nan), np.full((2, len(windows)), np.nan)
-        ensemble._walk_chunk(m, entries, windows, [pair], ensemble._workspace(1, n, n), walked)
-        ensemble._windows(m, entries, windows, *pair, read)
+        if plan[0]:  # the run calls _walk_chunk only for an m that walks
+            ensemble._walk_chunk(entries, plan, [pair], ensemble._workspace(1, n, n), walked)
+        ensemble._windows(m, entries, windows, plan, *pair, read)
         by_walk, by_windows = ~np.isnan(walked[:, 0]), ~np.isnan(read)
         assert (by_walk[0] == by_walk[1]).all() and (by_windows[0] == by_windows[1]).all(), m
         assert (by_walk[0] != by_windows[0]).all(), m  # complementary, and covering every window
-        assert by_walk[0].tolist() == [not ensemble._small_route(n, m) and s != m | 1
-                                       for s in windows], m
+        assert by_walk[0].tolist() == [s in plan[0] for s in windows], m
         w, q = np.where(by_walk, walked[:, 0], read)
         row = run_cell(n, m, windows, UnitaryKind.RANDOM_CUE, stream)
         assert row == list(zip(windows, (w * w / q).tolist(), w.tolist())), m
+
+
+@given(st.data())
+def test_plan_sends_every_window_to_one_reader(data):
+    # ``_plan`` is the one place that applies the route rules; it makes no draw.
+    n = data.draw(st.integers(4, 30).map(lambda k: 2 * k + 1), label="n")
+    m = data.draw(st.integers(2, n), label="m")
+    s_values = tuple(sorted(data.draw(st.sets(st.sampled_from(range(3, n + 1, 2)), min_size=1),
+                                      label="s_values")))
+    walked, small, nested, anchor, blocks, wide = ensemble._plan(n, m, s_values)
+    narrowest = s_values[0]
+    readers = [set(walked), set(small), blocks & {anchor}, {anchor} if wide else set()]
+    for s in s_values:  # the walk, the m×m Grams, the anchor's block, the outside read
+        assert sum(s in reader for reader in readers) == 1, s
+    assert set().union(*readers) <= set(s_values)
+    assert nested.tolist() == [s in walked or s in small for s in s_values]
+    assert walked == sorted(walked) and small == sorted(small)
+    # the degenerate-weight rule, once: on the narrowest window's block or on a wide anchor's read
+    assert (narrowest in blocks) + (wide and narrowest == anchor) == 1
+    assert blocks <= {narrowest, anchor}
+    # the walk only off the m×m route, and the m×m Grams only on it
+    assert not walked if ensemble._small_route(n, m) else not small
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])
