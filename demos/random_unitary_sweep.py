@@ -2,9 +2,10 @@
 
 For each encoding dimension the script prints where the model
 K = 1/(2/s + 1/m - 2/n) sits relative to the ensemble mean.  Wide windows
-agree to within a couple of percent; narrow windows (s <= 11) show the
-model's known systematic underestimate, which this demo makes visible
-instead of hiding.
+agree to within a couple of percent; narrow windows (s at or below
+``entrunc.cli.SMALL_WINDOW_LIMIT``, the limit ``entrunc check-conjecture``
+reports as expected deviation) show the model's known systematic
+underestimate, which this demo makes visible instead of hiding.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from entrunc import (
     run_ensemble,
     table_from_stats,
 )
+from entrunc.cli import SMALL_WINDOW_LIMIT
 
 
 def main():
@@ -46,9 +48,10 @@ def main():
     for i, m in enumerate(config.m_values):
         model = np.array([conjectured_schmidt_number(args.n, m, s) for s in config.s_values])
         rel = (model - stats.mean_K[i]) / stats.mean_K[i]
-        narrow = [j for j, s in enumerate(config.s_values) if s <= 11]
-        wide = [j for j, s in enumerate(config.s_values) if s > 11]
-        line = f"m={m:3d}: model vs mean — narrow windows (s<=11) max {abs(rel[narrow]).max():6.2%}"
+        narrow = [j for j, s in enumerate(config.s_values) if s <= SMALL_WINDOW_LIMIT]
+        wide = [j for j, s in enumerate(config.s_values) if s > SMALL_WINDOW_LIMIT]
+        line = (f"m={m:3d}: model vs mean — narrow windows (s<={SMALL_WINDOW_LIMIT}) "
+                f"max {abs(rel[narrow]).max():6.2%}")
         if wide:
             line += f", wide windows max {abs(rel[wide]).max():6.2%}"
         print(line)

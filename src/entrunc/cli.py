@@ -178,8 +178,7 @@ def _add_random_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--realizations", type=int, default=100, help="random draws per cell")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility; has no effect (a run at n >= 91 reads "
-                          "each realization on one thread while it draws the next)")
+                     help="accepted for compatibility; has no effect")
     sub.add_argument("--shared-unitary", action="store_true",
                      help="apply one draw to both subsystems instead of independent draws")
 

@@ -52,7 +52,8 @@ through ``pipeline._check_weight``, the rule ``truncate`` applies.  So a
 loss sweep (s = m) takes neither route and allocates no n×n array beyond
 the Haar pair.  ``_plan`` is the one place that applies these rules: once
 per (run, m), it splits the requested windows among the walk, the m×m
-Grams, the blocks and the outside read, and the readers take its plan.  The
+Grams, the blocks and the outside read, and its plan, which also carries the
+encoding's entries, is all that the readers take of m.  The
 public chain ``truncate → reduced_purity → schmidt_number`` stays the
 single-window reference that the tests compare every window against.
 
@@ -408,39 +409,38 @@ def _read_outside(y_a: np.ndarray, y_b: np.ndarray, alpha: float) -> tuple[float
 
 
 def _plan(n: int, m: int, s_values: tuple[int, ...]) -> tuple:
-    """Which reader takes each window of (n, m, ``s_values``): the one place the route rules apply.
+    """How (n, m) reads the windows ``s_values``: the one place the route rules apply.
 
-    Returns (walked, small, nested, anchor, blocks, wide).  Every window but
-    the anchor s* = m | 1 goes to the walk (``walked``) or, where
-    ``_small_route`` holds, to the m×m Grams (``small``); the other list is
-    empty, and ``nested`` masks both in ``s_values``.  ``blocks`` are the
-    windows read off their own block: the narrowest, for the degenerate-weight
-    rule, unless it is a wide anchor, and a narrow anchor.  ``wide`` says
-    whether the anchor is requested and read off its outside rows
-    (``_outside_read``).  The rules read (n, m, s) alone, so ``_collect`` plans
-    each m once per run.
+    Returns (entries, s_values, walked, small, nested, anchor, blocks, wide),
+    everything the readers take for one m.  ``entries`` are the encoding's
+    (rows, cols, β[rows, cols]) (``_encoding_entries``).  Every window but the
+    anchor s* = m | 1 goes to the walk (``walked``) or, where ``_small_route``
+    holds, to the m×m Grams (``small``); the other list is empty, and
+    ``nested`` masks both in ``s_values``.  ``blocks`` are the windows read off
+    their own block: the narrowest, for the degenerate-weight rule, unless it
+    is a wide anchor, and a narrow anchor.  ``wide`` says whether the anchor is
+    requested and read off its outside rows (``_outside_read``).  The rules
+    read (n, m, s) alone, so ``_collect`` plans each m once per run.
     """
     anchor = m | 1
     nested = [s for s in s_values if s != anchor]
     wide = anchor in s_values and _outside_read(n, anchor)
     blocks = {s_values[0], anchor} & set(s_values) - ({anchor} if wide else set())
     walked, small = ([], nested) if _small_route(n, m) else (nested, [])
-    return walked, small, np.array(s_values) != anchor, anchor, blocks, wide
+    return (_encoding_entries(HilbertDims(n, m)), s_values, walked, small,
+            np.array(s_values) != anchor, anchor, blocks, wide)
 
 
-def _walk_chunk(
-    entries: tuple, plan: tuple, pairs: list[tuple], workspace: _Workspace, out: np.ndarray
-) -> None:
+def _walk_chunk(plan: tuple, pairs: list[tuple], workspace: _Workspace, out: np.ndarray) -> None:
     """Write (w, q) of the windows the walk reads, per (U_A, U_B) draw of ``pairs``, into ``out``.
 
     ``plan`` (from ``_plan``) names those windows, at least one; ``_windows``
-    reads every other window.  ``entries`` are the encoding's (rows, cols,
-    β[rows, cols]), and ``out`` is the (2, R, len(s_values)) slice of the run's
-    record for these R draws.  They walk together, through one call of
-    ``_walk`` on the stack of their evolved states, with the buffers of
+    reads every other window.  ``out`` is the (2, R, len(s_values)) slice of
+    the run's record for these R draws.  They walk together, through one call
+    of ``_walk`` on the stack of their evolved states, with the buffers of
     ``workspace`` (for at least R states).
     """
-    (rows, cols, coeffs), (walked, _, nested, *_) = entries, plan
+    (rows, cols, coeffs), _, walked, _, nested, *_ = plan
     evolved = workspace.update[:len(pairs)]
     for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
         a = u_a[:, rows]
@@ -449,10 +449,7 @@ def _walk_chunk(
     out[..., nested] = _walk(evolved, walked, workspace)
 
 
-def _windows(
-    m: int, entries: tuple, s_values: tuple[int, ...], plan: tuple, u_a: np.ndarray,
-    u_b: np.ndarray, out: np.ndarray,
-) -> None:
+def _windows(plan: tuple, u_a: np.ndarray, u_b: np.ndarray, out: np.ndarray) -> None:
     """Write (w, q) of every window the walk does not read into ``out``; check the weight rule.
 
     ``out`` is this draw's (2, len(s_values)) row of the run's record, and
@@ -461,13 +458,13 @@ def _windows(
     gather of the central rows of the widest of them, which also gives the
     block of the narrowest window for the degenerate-weight rule (module doc).
     """
-    (rows, cols, coeffs), (_, small, nested, anchor, blocks, wide) = entries, plan
+    (rows, cols, coeffs), s_values, _, small, nested, anchor, blocks, wide = plan
     n, narrowest = len(u_a), s_values[0]
     if wide:  # a wide anchor gets no block
         lo = (n - anchor) // 2
         outside = np.arange(-lo, lo)[:, None]  # the last lo rows and the first lo
         out[:, s_values.index(anchor)] = _read_outside(u_a[outside, rows] * coeffs,
-                                                       u_b[outside, cols], 1 / m)
+                                                       u_b[outside, cols], 1 / len(rows))
     if blocks or small:  # the one gather of central rows
         lo = (n - max(blocks | set(small))) // 2
         a, b = u_a[lo:n - lo, rows], u_b[lo:n - lo, cols]
@@ -566,11 +563,10 @@ def _collect(
     ``_one_blas_thread`` scope, so no value depends on the BLAS thread count.
     """
     n, draws = config.n, len(streams)
-    cells = [(m, _encoding_entries(HilbertDims(n, m)), s_values, _plan(n, m, s_values))
-             for m, s_values in zip(config.m_values, windows)]
+    plans = [_plan(n, m, s_values) for m, s_values in zip(config.m_values, windows)]
     record = np.empty((2, draws, len(windows), len(windows[0])))
     chunk = min(draws, _chunk(n))
-    widest = max((plan[0][-1] for *_, plan in cells if plan[0]), default=0)  # the widest walked window
+    widest = max((plan[2][-1] for plan in plans if plan[2]), default=0)  # the widest walked window
     workspace = _workspace(chunk, n, widest) if widest else None
     start = reported = monotonic()
 
@@ -580,13 +576,13 @@ def _collect(
 
     def read(first: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
         nonlocal reported
-        for i, (_, entries, _, plan) in enumerate(cells):
-            if plan[0]:  # an m that walks
-                _walk_chunk(entries, plan, pairs, workspace, record[:, first:first + chunk, i])
+        for i, plan in enumerate(plans):
+            if plan[2]:  # an m that walks
+                _walk_chunk(plan, pairs, workspace, record[:, first:first + chunk, i])
         for j, (u_a, u_b) in enumerate(pairs, first):
-            for i, (m, entries, s_values, plan) in enumerate(cells):
+            for i, (m, plan) in enumerate(zip(config.m_values, plans)):
                 try:
-                    _windows(m, entries, s_values, plan, u_a, u_b, record[:, j, i])
+                    _windows(plan, u_a, u_b, record[:, j, i])
                 except DegenerateTruncationError as err:
                     raise DegenerateTruncationError(f"realization {j}, m={m}: {err}") from err
             now = monotonic()
@@ -612,7 +608,7 @@ def _collect(
                     reading.result()
                 reading = reader.submit(read, j, pairs)
             reading.result()
-    logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(cells))
+    logger.debug("n=%d: %d realization(s) over %d m value(s)", n, draws, len(plans))
     w, q = record
     return w * w / q, w
 

@@ -146,7 +146,7 @@ def test_seeds_wider_than_64_bits_replay_bit_identically():
 def _pairings(n, m_values):
     """(m×m route, wide anchor) of each m over every window of n, as ``_plan`` splits them."""
     plans = [ensemble._plan(n, m, tuple(range(3, n + 1, 2))) for m in m_values]
-    return {(not walked, wide) for walked, *_, wide in plans}
+    return {(not walked, wide) for _, _, walked, *_, wide in plans}
 
 
 def _reference_chain(n, m, s, u_a, u_b):
@@ -209,12 +209,11 @@ def test_wide_anchors_read_off_the_outside_rows_agree_with_their_block(n, kind, 
     wide = [s for s in range(3, n + 1, 2) if ensemble._outside_read(n, s)]
     assert wide and not ensemble._outside_read(n, wide[0] - 2)
     for s, m in [(s, m) for s in wide for m in (s - 1, s)]:
-        entries = statespace._encoding_entries(HilbertDims(n, m))
-        rows, cols, coeffs = entries
+        rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
         block = ensemble._block(u_a[:, rows] * coeffs, u_b[:, cols], s)
         w_ref, q_ref = ensemble._read(block @ block.conj().T)
         out = np.empty((2, 1))  # this draw's record row, as a run of the one window s passes it
-        ensemble._windows(m, entries, (s,), ensemble._plan(n, m, (s,)), u_a, u_b, out)
+        ensemble._windows(ensemble._plan(n, m, (s,)), u_a, u_b, out)
         w, q = out[:, 0]
         assert w == pytest.approx(w_ref, rel=1e-13, abs=0), (s, m)
         assert q == pytest.approx(q_ref, rel=1e-13, abs=0), (s, m)
@@ -229,11 +228,10 @@ def test_anchor_windows_allocate_only_the_rows_they_read():
     state_bytes = n * n * np.dtype(complex).itemsize
     assert not ensemble._outside_read(n, 51) and ensemble._outside_read(n, 195)
     for m, bound in [(51, state_bytes), (195, state_bytes // 4)]:
-        entries, out = statespace._encoding_entries(HilbertDims(n, m)), np.empty((2, 1))
+        plan, out = ensemble._plan(n, m, (m,)), np.empty((2, 1))  # s = m is the anchor: nothing nested
         tracemalloc.start()
         try:
-            # s = m is the anchor: nothing nested
-            ensemble._windows(m, entries, (m,), ensemble._plan(n, m, (m,)), u_a, u_b, out)
+            ensemble._windows(plan, u_a, u_b, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,16 +253,15 @@ def test_walk_and_windows_write_complementary_windows(n, m_values, pairings):
     stream = RngStream(17).child(0)
     pair = ensemble._draw(n, UnitaryKind.RANDOM_CUE, stream, True)
     for m in m_values:
-        entries = statespace._encoding_entries(HilbertDims(n, m))
         plan = ensemble._plan(n, m, windows)
         walked, read = np.full((2, 1, len(windows)), np.nan), np.full((2, len(windows)), np.nan)
-        if plan[0]:  # the run calls _walk_chunk only for an m that walks
-            ensemble._walk_chunk(entries, plan, [pair], ensemble._workspace(1, n, n), walked)
-        ensemble._windows(m, entries, windows, plan, *pair, read)
+        if plan[2]:  # the run calls _walk_chunk only for an m that walks
+            ensemble._walk_chunk(plan, [pair], ensemble._workspace(1, n, n), walked)
+        ensemble._windows(plan, *pair, read)
         by_walk, by_windows = ~np.isnan(walked[:, 0]), ~np.isnan(read)
         assert (by_walk[0] == by_walk[1]).all() and (by_windows[0] == by_windows[1]).all(), m
         assert (by_walk[0] != by_windows[0]).all(), m  # complementary, and covering every window
-        assert by_walk[0].tolist() == [s in plan[0] for s in windows], m
+        assert by_walk[0].tolist() == [s in plan[2] for s in windows], m
         w, q = np.where(by_walk, walked[:, 0], read)
         row = run_cell(n, m, windows, UnitaryKind.RANDOM_CUE, stream)
         assert row == list(zip(windows, (w * w / q).tolist(), w.tolist())), m
@@ -277,7 +274,8 @@ def test_plan_sends_every_window_to_one_reader(data):
     m = data.draw(st.integers(2, n), label="m")
     s_values = tuple(sorted(data.draw(st.sets(st.sampled_from(range(3, n + 1, 2)), min_size=1),
                                       label="s_values")))
-    walked, small, nested, anchor, blocks, wide = ensemble._plan(n, m, s_values)
+    entries, planned, walked, small, nested, anchor, blocks, wide = ensemble._plan(n, m, s_values)
+    assert planned == s_values and len(entries[0]) == m  # the encoding's m entries
     narrowest = s_values[0]
     readers = [set(walked), set(small), blocks & {anchor}, {anchor} if wide else set()]
     for s in s_values:  # the walk, the m×m Grams, the anchor's block, the outside read

@@ -184,6 +184,23 @@ def test_haar_first_moment():
         assert np.all(np.abs(total / samples - [1 / n, fourth]) < 3 * sigma), entry
 
 
+def test_haar_trace_moments():
+    # Moments that see the phases, which the |U_ij| moments above ignore: LAPACK's
+    # Q without the phase fix is not Haar and fails these.  For CUE,
+    # E|tr U|^(2k) = k! for n ≥ k (Diaconis & Shahshahani, J. Appl. Probab. 31A,
+    # 49, 1994), so |tr U|² has mean 1 and variance 1, and |tr U|⁴ mean 2 and
+    # variance 4! − 2² = 20 at n ≥ 4; Re U_11 and Im U_11 have mean 0 and
+    # variance 1/(2n).
+    n, samples = 9, 4_000
+    base = RngStream(2003)
+    draws = np.array([sample_cue(n, base.child(j, 0)) for j in range(samples)])
+    power, corner = np.abs(np.trace(draws, axis1=1, axis2=2)) ** 2, draws[:, 0, 0]
+    means = np.array([power.mean(), (power**2).mean(), corner.real.mean(), corner.imag.mean()])
+    sigma = np.sqrt(np.array([1, 20, 1 / (2 * n), 1 / (2 * n)]) / samples)
+    z = (means - [1, 2, 0, 0]) / sigma
+    assert np.all(np.abs(z) <= 4), z
+
+
 def test_degenerate_qr_draw_retries_next_substream(monkeypatch, caplog):
     stream = RngStream(13, (0,))
     expected = sample_cue(7, stream.child(1))  # what the retry should produce
