@@ -59,10 +59,10 @@ single-window reference that the tests compare every window against.
 
 Chunks.  ``_collect`` draws realizations in chunks of R = ``_chunk(n)``,
 max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91, and splits the kernel into
-batched and per-draw work.  ``_walk_chunk`` does the batched work and nothing
-else: it evolves the R states of one walk-route m into one stack and walks
-them in one call of ``_walk``, whose leading axis stacks the states, so each
-step is one batched product for the chunk; its buffers come from one
+batched and per-draw work.  ``_walk`` does the batched work and nothing
+else: it evolves the R states of one walk-route m into one stack, walks
+them together, so each step is one batched product for the chunk, and writes
+each walked window straight into the record; its buffers come from one
 ``_workspace`` per run.  ``_windows`` does the rest, draw by draw in
 realization order: the m×m route (stacked over a chunk, its Grams cost more
 in page faults than they save in calls), the narrowest window's block and a
@@ -271,39 +271,34 @@ def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
     return a[i:i + s] @ b[i:i + s].T
 
 
-class _Workspace(NamedTuple):
-    """The walk's buffers: its row Gram, the update, and the row and column factors of every step."""
+def _workspace(count: int, n: int, widest: int) -> tuple:
+    """The walk's buffers for up to ``count`` stacked n×n states up to window ``widest``.
 
-    gram: np.ndarray
-    update: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-
-
-def _workspace(count: int, n: int, widest: int) -> _Workspace:
-    """Buffers for walks of up to ``count`` stacked n×n states up to window ``widest``.
-
-    ``_collect`` keeps one per run: fresh factor stacks cost every walk their
-    page faults again.
+    Its row Gram, the update (which first holds the evolved states), and the
+    row and column factors of every step.  ``_collect`` keeps one per run:
+    fresh factor stacks cost every walk their page faults again.
     """
     gram = np.empty((count, n, n), complex)
     steps = (widest - 3) // 2
-    return _Workspace(gram, np.empty_like(gram), np.empty((count, steps, n, 4)),
-                      np.empty((count, steps, 4, 2 * n)))
+    return (gram, np.empty_like(gram), np.empty((count, steps, n, 4)),
+            np.empty((count, steps, 4, 2 * n)))
 
 
-def _walk(evolved: np.ndarray, wanted: list[int], workspace: _Workspace) -> np.ndarray:
-    """(w, q) of ``_read`` at each window of ``wanted`` (ascending): shape (2, R, len(wanted)).
+def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) -> None:
+    """Evolve each (U_A, U_B) draw of ``pairs``, walk them, and write the walked (w, q) into ``out``.
 
-    ``evolved`` is an (R, n, n) stack of states, walked together: each step is
-    one batched product for all of them.  The walk's buffers are those of
-    ``workspace`` (from ``_workspace``, for at least R states and window
-    ``wanted[-1]``); its ``update`` may hold ``evolved`` itself, which is read
-    only before the first step.
+    ``plan`` (from ``_plan``) names the walked windows, at least one;
+    ``_windows`` reads every other window.  ``out`` is the
+    (2, R, len(s_values)) slice of the run's record for these R draws.  Their
+    R evolved n×n states are walked together, each step one batched product
+    for all of them, with the buffers of ``workspace`` (from ``_workspace``,
+    for at least R states and the widest walked window); the states go into
+    its update buffer, which is read only before the first step.
 
     Starts from the row Gram of window s = 3 over every row of the state and
     widens it two columns at a time; window s is its central s×s block.  The
-    Gram at step s does not depend on ``wanted``, so neither does any value.
+    Gram at step s does not depend on the other windows, so neither does any
+    value.
 
     Each step adds p·p† for the n×2 pair p of new columns, as one real
     (n×4)·(4×2n) product into the Gram's float view (Re and Im interleaved).
@@ -316,29 +311,31 @@ def _walk(evolved: np.ndarray, wanted: list[int], workspace: _Workspace) -> np.n
     (OpenBLAS 0.3.31, 2 cores) one such step took 77 µs at one thread and
     113 µs at two, the real product 39 µs at either.
     """
-    count, n = len(evolved), evolved.shape[-1]
-    steps = (wanted[-1] - 3) // 2
-    gram, update = workspace.gram[:count], workspace.update[:count]
-    rows, cols = workspace.rows[:count, :steps], workspace.cols[:count, :steps]
+    (rows, cols, coeffs), s_values, walked, *_ = plan
+    count, n, steps = len(pairs), len(pairs[0][0]), (walked[-1] - 3) // 2
+    gram, evolved, left, right = (buffer[:count] for buffer in workspace)
+    left, right = left[:, :steps], right[:, :steps]
+    for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
+        a = u_a[:, rows]
+        a *= coeffs
+        np.matmul(a, u_b[:, cols].T, out=state)
     lo = (n - 3) // 2
     strip = evolved[..., lo:lo + 3]
     np.matmul(strip, strip.conj().swapaxes(-1, -2), out=gram)
     # both factors of every step, filled in place: step k adds columns lo − k − 1 and lo + k + 3
-    pairs = rows.view(complex)  # (R, steps, n, 2): ℓ_i = p_i as floats
-    pairs[..., 0] = evolved[..., lo - steps:lo][..., ::-1].swapaxes(-1, -2)
-    pairs[..., 1] = evolved[..., lo + 3:lo + 3 + steps].swapaxes(-1, -2)
-    spread = cols.view(complex)  # (R, steps, 4, n): rows p̄₁, i·p̄₁, p̄₂, i·p̄₂
-    np.conjugate(pairs.swapaxes(-1, -2), out=spread[..., ::2, :])
+    new = left.view(complex)  # (R, steps, n, 2): ℓ_i = p_i as floats
+    new[..., 0] = evolved[..., lo - steps:lo][..., ::-1].swapaxes(-1, -2)
+    new[..., 1] = evolved[..., lo + 3:lo + 3 + steps].swapaxes(-1, -2)
+    spread = right.view(complex)  # (R, steps, 4, n): rows p̄₁, i·p̄₁, p̄₂, i·p̄₂
+    np.conjugate(new.swapaxes(-1, -2), out=spread[..., ::2, :])
     np.multiply(spread[..., ::2, :], 1j, out=spread[..., 1::2, :])
-    flat, step = gram.view(float), update.view(float)
-    out = np.empty((2, count, len(wanted)))
-    for k, s in enumerate(range(3, wanted[-1] + 1, 2), -1):
+    flat, step = gram.view(float), evolved.view(float)  # the steps overwrite the states, read by now
+    for k, s in enumerate(range(3, walked[-1] + 1, 2), -1):
         if s > 3:  # two more columns: a rank-2 update
             lo -= 1
-            flat += np.matmul(rows[:, k], cols[:, k], out=step)
-        if s in wanted:
-            out[:, :, wanted.index(s)] = _read(gram[:, lo:lo + s, lo:lo + s])
-    return out
+            flat += np.matmul(left[:, k], right[:, k], out=step)
+        if s in walked:
+            out[:, :, s_values.index(s)] = _read(gram[:, lo:lo + s, lo:lo + s])
 
 
 def _small_route(n: int, m: int) -> bool:
@@ -429,24 +426,6 @@ def _plan(n: int, m: int, s_values: tuple[int, ...]) -> tuple:
     walked, small = ([], nested) if _small_route(n, m) else (nested, [])
     return (_encoding_entries(HilbertDims(n, m)), s_values, walked, small,
             np.array(s_values) != anchor, anchor, blocks, wide)
-
-
-def _walk_chunk(plan: tuple, pairs: list[tuple], workspace: _Workspace, out: np.ndarray) -> None:
-    """Write (w, q) of the windows the walk reads, per (U_A, U_B) draw of ``pairs``, into ``out``.
-
-    ``plan`` (from ``_plan``) names those windows, at least one; ``_windows``
-    reads every other window.  ``out`` is the (2, R, len(s_values)) slice of
-    the run's record for these R draws.  They walk together, through one call
-    of ``_walk`` on the stack of their evolved states, with the buffers of
-    ``workspace`` (for at least R states).
-    """
-    (rows, cols, coeffs), _, walked, _, nested, *_ = plan
-    evolved = workspace.update[:len(pairs)]
-    for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
-        a = u_a[:, rows]
-        a *= coeffs
-        np.matmul(a, u_b[:, cols].T, out=state)
-    out[..., nested] = _walk(evolved, walked, workspace)
 
 
 def _windows(plan: tuple, u_a: np.ndarray, u_b: np.ndarray, out: np.ndarray) -> None:
@@ -547,7 +526,7 @@ def _collect(
     ``streams[j]`` (unused for the deterministic uniform kind), and evaluates
     every m against it.  Realizations run in chunks of ``_chunk(n)``: a chunk
     draws its pairs in index order, walks the walked windows of each m that
-    walks through ``_walk_chunk`` at once, then reads every other window
+    walks through ``_walk`` at once, then reads every other window
     realization by realization, m by m, through ``_windows`` (so the
     degenerate-weight check, its errors and the progress lines keep
     realization order).  Where ``_pipelined`` holds, one
@@ -578,7 +557,7 @@ def _collect(
         nonlocal reported
         for i, plan in enumerate(plans):
             if plan[2]:  # an m that walks
-                _walk_chunk(plan, pairs, workspace, record[:, first:first + chunk, i])
+                _walk(plan, pairs, workspace, record[:, first:first + chunk, i])
         for j, (u_a, u_b) in enumerate(pairs, first):
             for i, (m, plan) in enumerate(zip(config.m_values, plans)):
                 try:

@@ -91,14 +91,17 @@ def test_sweep_stdout_reruns_are_identical(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_sweep_random_json_file_matches_library_result(tmp_path):
+@pytest.mark.parametrize("extra, independent_ab", [([], True), (["--shared-unitary"], False)],
+                         ids=["independent", "shared-unitary"])
+def test_sweep_random_json_file_matches_library_result(tmp_path, extra, independent_ab):
     out = tmp_path / "sweep.json"
     argv = [
         "sweep-random", "--n", "9", "--m", "3", "--s", "3,5",
         "--realizations", "4", "--seed", "2024", "--out", str(out), "--format", "json",
-    ]
+    ] + extra
     assert run_main(argv) == EXIT_OK
-    config = SweepConfig(n=9, m_values=(3,), s_values=(3, 5), realizations=4, master_seed=2024)
+    config = SweepConfig(n=9, m_values=(3,), s_values=(3, 5), realizations=4, master_seed=2024,
+                         independent_ab=independent_ab)
     assert parse_table(out) == table_from_stats(run_ensemble(config))
 
 

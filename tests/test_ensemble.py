@@ -191,12 +191,14 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
     u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
     windows = list(range(3, n + 1, 2))
     for m in m_values:
-        rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
+        entries = rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
         a, b = u_a[:, rows] * coeffs, u_b[:, cols]
-        walked = ensemble._walk((a @ b.T)[None], windows, ensemble._workspace(1, n, n))[:, 0]
+        walked = np.empty((2, 1, len(windows)))
+        # a plan whose walk reads every window, the anchor and the m×m route's too
+        ensemble._walk((entries, windows, windows), [(u_a, u_b)], ensemble._workspace(1, n, n), walked)
         small = ensemble._read_small(a, b, windows)
         for i, s in enumerate(windows):
-            assert small[:, i] == pytest.approx(walked[:, i], rel=1e-13, abs=0), (m, s)
+            assert small[:, i] == pytest.approx(walked[:, 0, i], rel=1e-13, abs=0), (m, s)
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])
@@ -243,7 +245,7 @@ def test_anchor_windows_allocate_only_the_rows_they_read():
     (9, (7,), {(True, True)}),
 ])
 def test_walk_and_windows_write_complementary_windows(n, m_values, pairings):
-    # ``_walk_chunk`` writes the windows the walk reads and ``_windows`` every
+    # ``_walk`` writes the windows the walk reads and ``_windows`` every
     # other one: for one draw, each window is written by exactly one of them,
     # and together they give the run's record row.  m of each route at n = 51,
     # anchors on both sides of ``_outside_read``, and at n = 9 an m×m-route m
@@ -255,8 +257,8 @@ def test_walk_and_windows_write_complementary_windows(n, m_values, pairings):
     for m in m_values:
         plan = ensemble._plan(n, m, windows)
         walked, read = np.full((2, 1, len(windows)), np.nan), np.full((2, len(windows)), np.nan)
-        if plan[2]:  # the run calls _walk_chunk only for an m that walks
-            ensemble._walk_chunk(plan, [pair], ensemble._workspace(1, n, n), walked)
+        if plan[2]:  # the run calls _walk only for an m that walks
+            ensemble._walk(plan, [pair], ensemble._workspace(1, n, n), walked)
         ensemble._windows(plan, *pair, read)
         by_walk, by_windows = ~np.isnan(walked[:, 0]), ~np.isnan(read)
         assert (by_walk[0] == by_walk[1]).all() and (by_windows[0] == by_windows[1]).all(), m
@@ -676,35 +678,36 @@ def test_pipelined_draw_errors_wait_for_the_read_in_flight(monkeypatch, read_fai
 def test_stacked_walk_equals_one_state_at_a_time():
     # Leading axes stack states; each value must equal the one-state walk bit for bit.
     n, m = 51, 38
-    windows = [s for s in range(3, n + 1, 2) if s != m | 1]
-    rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
-    evolved = []
-    for j in range(4):
-        u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(3).child(j), True)
-        evolved.append((u_a[:, rows] * coeffs) @ u_b[:, cols].T)
-    stacked = ensemble._walk(np.stack(evolved), windows, ensemble._workspace(4, n, windows[-1]))
-    for r, state in enumerate(evolved):
-        single = ensemble._walk(state[None], windows, ensemble._workspace(1, n, windows[-1]))
-        assert np.array_equal(stacked[:, r], single[:, 0]), r
+    plan = ensemble._plan(n, m, tuple(range(3, n + 1, 2)))
+    walked = plan[2]
+    assert walked == [s for s in range(3, n + 1, 2) if s != m | 1]
+    pairs = [ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(3).child(j), True) for j in range(4)]
+    stacked = np.full((2, 4, len(plan[1])), np.nan)
+    ensemble._walk(plan, pairs, ensemble._workspace(4, n, walked[-1]), stacked)
+    for r, pair in enumerate(pairs):
+        single = np.full((2, 1, len(plan[1])), np.nan)
+        ensemble._walk(plan, [pair], ensemble._workspace(1, n, walked[-1]), single)
+        assert np.array_equal(stacked[:, r], single[:, 0], equal_nan=True), r
 
 
 def test_walk_reuses_its_workspace():
-    # A walk over a warm workspace allocates no n×n array: the Gram, the update
-    # and the factor stacks of every step are the workspace's.
-    n, m = 201, 201
-    u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
-    rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
-    evolved = ((u_a[:, rows] * coeffs) @ u_b[:, cols].T)[None]
-    windows = list(range(3, n, 2))  # every window but the anchor s = n
-    workspace = ensemble._workspace(1, n, windows[-1])
-    first = ensemble._walk(evolved, windows, workspace)
+    # A walk over a warm workspace allocates no n×n array: the evolved states,
+    # the Gram and the factor stacks of every step are the workspace's.  Only
+    # the evolution's two n×m column gathers are its own, so m is well below n.
+    n, m = 201, 51
+    pair = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
+    plan = ensemble._plan(n, m, tuple(range(3, n + 1, 2)))  # every window but the anchor walks
+    workspace = ensemble._workspace(1, n, plan[2][-1])
+    first, second = np.empty((2, 1, len(plan[1]))), np.empty((2, 1, len(plan[1])))
+    ensemble._walk(plan, [pair], workspace, first)
     tracemalloc.start()
     try:
-        second = ensemble._walk(evolved, windows, workspace)
+        ensemble._walk(plan, [pair], workspace, second)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(second, first)
+    walked = plan[4]  # the anchor's column is no walk's to write
+    assert np.array_equal(second[..., walked], first[..., walked])
     assert peak < n * n * np.dtype(complex).itemsize, peak
 
 
