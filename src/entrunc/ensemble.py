@@ -504,8 +504,8 @@ def _pipelined(n: int, draws: int) -> bool:
     """Whether a run reads draw j on a worker thread while it draws j + 1 (``_collect``).
 
     Where a chunk is one draw (n ≥ 91) and there are at least two, the Haar
-    draw, about 60% of a ``loss201`` pass, runs alongside the reads of the draw
-    before it.  Timed serial → pipelined on loss grids: n = 51 0.050 → 0.079 s
+    draw, about 55% of a serial ``loss201`` pass (0.045-0.070 of 0.086-0.126 s,
+    2 cores), runs alongside the reads of the draw before it.  Timed serial → pipelined on loss grids: n = 51 0.050 → 0.079 s
     (its chunks of 6 batch the reads instead), n = 71 level, n = 91 0.075 →
     0.064 s, n = 131 0.107 → 0.074 s.  Where walks make most of the reads
     (README's n = 201 grid) the gain is small: a walk slows down while a

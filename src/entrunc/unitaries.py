@@ -5,9 +5,12 @@ Unitaries use the same level-to-offset convention as the state matrices
 unitary ensemble (Haar measure) via QR decomposition of a complex Ginibre
 matrix with the standard diagonal phase correction, and are reproducible:
 the same :class:`RngStream` always yields the same matrix for a fixed
-numpy/BLAS build.  Under OpenBLAS the QR runs on one BLAS thread
-(``_one_blas_thread``), so the draws do not depend on the BLAS thread count;
-the engine's runs enter the same scope (``ensemble._collect``).
+numpy/BLAS build.  Where numpy links scipy-openblas64 (numpy's wheels) the QR
+calls its LAPACK directly (``_qr``), in place and bit-equal to
+``np.linalg.qr`` (tested); elsewhere it is ``np.linalg.qr``.  Under OpenBLAS
+the QR runs on one BLAS thread (``_one_blas_thread``), so the draws do not
+depend on the BLAS thread count; the engine's runs enter the same scope
+(``ensemble._collect``).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import logging
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +38,21 @@ try:
     _set_blas_threads.argtypes, _set_blas_threads.restype = [ctypes.c_int], ctypes.c_int
 except (AttributeError, OSError):  # another BLAS or an older OpenBLAS
     _set_blas_threads = None
+
+
+# numpy's wheels link scipy-openblas64, whose LAPACK names carry a scipy_ prefix and take 64-bit
+# integers (ILP64); where either name is missing, the draw's QR is np.linalg.qr's (``_qr``).
+try:
+    _geqrf, _ungqr = (getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_z{name}_64_")
+                      for name in ("geqrf", "ungqr"))
+except (AttributeError, OSError):
+    _geqrf = _ungqr = None
+else:
+    _int, _array = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(complex, flags="F_CONTIGUOUS")
+    # zgeqrf(m, n, a, lda, tau, work, lwork, info) and zungqr(m, n, k, a, lda, tau, work, lwork, info)
+    _geqrf.argtypes = [_int, _int, _array, _int, _array, _array, _int, _int]
+    _ungqr.argtypes = [_int, _int, _int, _array, _int, _array, _array, _int, _int]
+    _geqrf.restype = _ungqr.restype = None
 
 
 _blas_lock = threading.RLock()
@@ -112,6 +131,46 @@ def uniform_spreading_unitary(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(levels, levels) / n) / np.sqrt(n)
 
 
+def _lapack(routine, *args) -> None:
+    """Call ``_geqrf`` or ``_ungqr`` on ``args`` and the info argument, integers by reference."""
+    info = ctypes.c_int64()
+    routine(*(ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int) else a for a in args), ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} returned info={info.value}")
+
+
+@cache
+def _lwork(n: int) -> tuple[int, int]:
+    """The lwork numpy's QR passes to zgeqrf and zungqr at n×n: max(n, optimal), from a query.
+
+    Blocked LAPACK code (n > 128 in reference LAPACK) needs the optimal size;
+    given less, it runs unblocked and rounds differently.
+    """
+    query = np.empty(1, complex)
+    _lapack(_geqrf, n, n, query, n, query, query, -1)
+    geqrf = int(query[0].real)
+    _lapack(_ungqr, n, n, n, query, n, query, query, -1)
+    return max(n, geqrf), max(n, int(query[0].real))
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and R's diagonal of the QR of the Fortran-ordered n×n ``a``, bit-equal to ``np.linalg.qr``'s.
+
+    With the LAPACK binding the factorization overwrites ``a``, which is
+    returned as Q: numpy's QR runs the same two routines with the same lwork,
+    between copies of the input, of Q and of all of R.
+    """
+    if _geqrf is None:
+        q, r = np.linalg.qr(a)
+        return q, np.diagonal(r)
+    n, (geqrf, ungqr) = len(a), _lwork(len(a))
+    tau, work = np.empty(n, complex), np.empty(max(geqrf, ungqr), complex)  # per call: two threads draw
+    _lapack(_geqrf, n, n, a, n, tau, work, geqrf)
+    diag = a.diagonal().copy()
+    _lapack(_ungqr, n, n, n, a, n, tau, work, ungqr)
+    return a, diag
+
+
 def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     """Draw an n×n Haar-distributed unitary from the given stream.
 
@@ -121,7 +180,11 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     positive-diagonal R and hence Q exactly Haar.  In the measure-zero event
     that some |R_jj| underflows to 0 the draw is retried on the next
     sub-stream (logged), keeping the result a pure function of ``stream``.
-    The QR runs inside ``_one_blas_thread()``.
+    The QR runs inside ``_one_blas_thread()``; it is LAPACK's zgeqrf and
+    zungqr called directly on a Fortran-ordered matrix where numpy links
+    scipy-openblas64, bit-equal to ``np.linalg.qr`` (tested), and
+    ``np.linalg.qr`` elsewhere (``_qr``).  The result is Fortran-ordered on
+    the first path and C-ordered on the second.
     """
     _check_int("n", n, 3, odd=True)
     attempt = 0
@@ -129,14 +192,12 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
         source = stream if attempt == 0 else stream.child(attempt)
         rng = source.generator()
         # filled in place, the same bits as (x + 1j·y)/√2: fresh n×n temporaries cost page faults
-        ginibre = np.empty((n, n), dtype=complex)
+        ginibre = np.empty((n, n), dtype=complex, order="F")
         ginibre.real = rng.standard_normal((n, n))
         ginibre.imag = rng.standard_normal((n, n))
         ginibre /= np.sqrt(2)
         with _one_blas_thread():
-            q, r = np.linalg.qr(ginibre)
-        del ginibre
-        diag = np.diagonal(r)
+            q, diag = _qr(ginibre)
         if not np.any(np.abs(diag) == 0.0):
             q *= diag / np.abs(diag)
             return q

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -72,9 +73,10 @@ needs_setter = pytest.mark.skipif(
 )
 
 
-@pytest.mark.parametrize("n, seed", [(3, 0), (9, 5), (51, 7), (201, 7)])
+@pytest.mark.parametrize("n, seed", [(3, 0), (9, 5), (51, 7), (131, 7), (201, 7)])
 def test_cue_is_bit_identical_to_the_textbook_formula(n, seed):
-    # The in-place fill and phase fix must draw the same bits as the formula they replace.
+    # The in-place fill, QR and phase fix must draw the same bits as the formula they replace.
+    # LAPACK's QR runs unblocked up to n = 128 and blocked above, where its lwork decides the bits.
     stream = RngStream(seed, (0, 1))
     np.testing.assert_array_equal(sample_cue(n, stream), _textbook_cue(n, stream))
 
@@ -83,6 +85,27 @@ def test_cue_without_the_thread_setter_is_the_textbook_formula(monkeypatch):
     monkeypatch.setattr(unitaries, "_set_blas_threads", None)
     stream = RngStream(7, (0, 1))
     np.testing.assert_array_equal(sample_cue(201, stream), _textbook_cue(201, stream))
+
+
+def test_cue_without_the_lapack_binding_is_the_textbook_formula(monkeypatch):
+    monkeypatch.setattr(unitaries, "_geqrf", None)
+    stream = RngStream(7, (0, 1))
+    np.testing.assert_array_equal(sample_cue(201, stream), _textbook_cue(201, stream))
+
+
+@pytest.mark.skipif(unitaries._geqrf is None, reason="numpy links no scipy-openblas64 LAPACK")
+def test_cue_allocates_little_beyond_its_result():
+    # The draw factors its Ginibre matrix in place: one n×n result plus one n×n
+    # float part of the fill.  np.linalg.qr's copies peak at about 4 n×n.
+    n = 201
+    sample_cue(n, RngStream(7, (0, 1)))  # the lwork query is cached once per n
+    tracemalloc.start()
+    try:
+        sample_cue(n, RngStream(7, (1, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * np.dtype(complex).itemsize, peak
 
 
 @needs_setter
@@ -116,7 +139,7 @@ def test_cue_restores_the_callers_blas_thread_count(monkeypatch):
             seen.append(_blas_threads())
             raise np.linalg.LinAlgError("qr failed")
 
-        monkeypatch.setattr(np.linalg, "qr", failing_qr)
+        monkeypatch.setattr(unitaries, "_qr", failing_qr)
         with pytest.raises(np.linalg.LinAlgError):
             sample_cue(201, RngStream(7, (0, 1)))
         assert seen == [1]
@@ -130,7 +153,7 @@ def test_concurrent_draws_keep_their_bits_and_the_callers_blas_thread_count(monk
     # A slowed QR holds each scope open long enough for the other thread's scope to start.
     streams = [RngStream(7, (j, 1)) for j in range(10)]
     serial = [sample_cue(51, stream) for stream in streams]
-    qr, seen = np.linalg.qr, []
+    qr, seen = unitaries._qr, []
 
     def slow_qr(matrix):
         seen.append(_blas_threads())
@@ -138,7 +161,7 @@ def test_concurrent_draws_keep_their_bits_and_the_callers_blas_thread_count(monk
         seen.append(_blas_threads())
         return qr(matrix)
 
-    monkeypatch.setattr(np.linalg, "qr", slow_qr)
+    monkeypatch.setattr(unitaries, "_qr", slow_qr)
     caller = unitaries._set_blas_threads(2)
     try:
         with ThreadPoolExecutor(2) as pool:
@@ -205,19 +228,19 @@ def test_degenerate_qr_draw_retries_next_substream(monkeypatch, caplog):
     stream = RngStream(13, (0,))
     expected = sample_cue(7, stream.child(1))  # what the retry should produce
 
-    real_qr = np.linalg.qr
+    real_qr = unitaries._qr
     calls = {"count": 0}
 
     def flaky_qr(matrix):
         calls["count"] += 1
         if calls["count"] == 1:
-            q, r = real_qr(matrix)
-            r = r.copy()
-            r[0, 0] = 0.0
-            return q, r
+            q, diag = real_qr(matrix)
+            diag = diag.copy()
+            diag[0] = 0.0
+            return q, diag
         return real_qr(matrix)
 
-    monkeypatch.setattr(np.linalg, "qr", flaky_qr)
+    monkeypatch.setattr(unitaries, "_qr", flaky_qr)
     with caplog.at_level(logging.WARNING, logger="entrunc.unitaries"):
         got = sample_cue(7, stream)
     assert calls["count"] == 2
