@@ -26,9 +26,11 @@ measured cost of both at n = 51 and n = 201.
   keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns W, adds
   two columns per shell as a rank-2 update, and reads window s off its
   central block through ``_read``: O(n³) per m.  Each update is one
-  real (n×4)·(4×2n) product into the Gram's float view, because BLAS runs
-  a complex product with an inner dimension of 2 two to three times slower
-  (see ``_walk``).
+  real (n×4)·(4×2n) product added into the Gram's float view by one BLAS
+  call, dgemm with β = 1, where numpy links scipy-openblas64
+  (``unitaries._dgemm``); elsewhere it is numpy's matmul and a ``+=``.
+  BLAS runs a complex product with an inner dimension of 2 several times
+  slower (see ``_walk``).
 * The m×m route uses that C has rank m.  With P = A_W†A_W and
   Q = B_W†B_W, w = tr(P·Q̄) and q = tr((P·Q̄)²): one batched product
   gives every shell's m×m increment, one cumsum sums them into every P and
@@ -115,7 +117,8 @@ from .errors import DegenerateTruncationError, DimensionError
 from .pipeline import _check_weight, truncate
 from .statespace import HilbertDims, _check_int, _encoding_entries
 from .unitaries import (
-    RngStream, _one_blas_thread, _set_blas_threads, sample_cue, uniform_spreading_unitary,
+    RngStream, _dgemm, _dgemm_calls, _one_blas_thread, _set_blas_threads, sample_cue,
+    uniform_spreading_unitary,
 )
 
 __all__ = [
@@ -274,14 +277,19 @@ def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
 def _workspace(count: int, n: int, widest: int) -> tuple:
     """The walk's buffers for up to ``count`` stacked n×n states up to window ``widest``.
 
-    Its row Gram, the update (which first holds the evolved states), and the
-    row and column factors of every step.  ``_collect`` keeps one per run:
-    fresh factor stacks cost every walk their page faults again.
+    Its row Gram, the evolved states, the row and column factors of every
+    step, and the ``_dgemm`` arguments that add each step's product into the
+    Gram (``unitaries._dgemm_calls``; None without the binding, where each
+    product goes into the evolved states' buffer, read by then, and a
+    ``+=`` adds it).  ``_collect`` keeps one per run: fresh factor stacks
+    cost every walk their page faults again, and the arguments cost about
+    100 µs to build, as much as a walk at n = 51 saves by them.
     """
     gram = np.empty((count, n, n), complex)
     steps = (widest - 3) // 2
-    return (gram, np.empty_like(gram), np.empty((count, steps, n, 4)),
-            np.empty((count, steps, 4, 2 * n)))
+    left, right = np.empty((count, steps, n, 4)), np.empty((count, steps, 4, 2 * n))
+    calls = None if _dgemm is None else _dgemm_calls(gram.view(float), left, right)
+    return gram, np.empty_like(gram), left, right, calls
 
 
 def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) -> None:
@@ -291,9 +299,9 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
     ``_windows`` reads every other window.  ``out`` is the
     (2, R, len(s_values)) slice of the run's record for these R draws.  Their
     R evolved n×n states are walked together, each step one batched product
-    for all of them, with the buffers of ``workspace`` (from ``_workspace``,
-    for at least R states and the widest walked window); the states go into
-    its update buffer, which is read only before the first step.
+    for all of them (R ``_dgemm`` calls where it is bound), with the buffers
+    and call arguments of ``workspace`` (from ``_workspace``,
+    for at least R states and the widest walked window).
 
     Starts from the row Gram of window s = 3 over every row of the state and
     widens it two columns at a time; window s is its central s×s block.  The
@@ -301,19 +309,23 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
     value.
 
     Each step adds p·p† for the n×2 pair p of new columns, as one real
-    (n×4)·(4×2n) product into the Gram's float view (Re and Im interleaved).
+    (n×4)·(4×2n) product added into the Gram's float view (Re and Im
+    interleaved): per state one ``_dgemm`` call with β = 1, the bits of
+    numpy's matmul and a ``+=`` (tested), which is the fallback.
     Row i of its row factor is ℓ_i = (Re p_i1, Im p_i1, Re p_i2, Im p_i2); its
     column factor is the float view of the complex 4×n stack
     [p̄₁; i·p̄₁; p̄₂; i·p̄₂], whose column k holds ℓ_k in its real parts and
     (−Im p_k1, Re p_k1, −Im p_k2, Re p_k2) in its imaginary ones, so entry 2k
     of row i is Re(p_i·p̄_k) and entry 2k + 1 is Im(p_i·p̄_k).  OpenBLAS
     serves a complex product with an inner dimension of 2 poorly: at n = 201
-    (OpenBLAS 0.3.31, 2 cores) one such step took 77 µs at one thread and
-    113 µs at two, the real product 39 µs at either.
+    (OpenBLAS 0.3.31, 2 cores) the complex step with its ``+=`` took 65 µs
+    at one thread and 107 µs at two, the real product with its ``+=`` 49 µs
+    and the one ``_dgemm`` call 20 µs at either.
     """
     (rows, cols, coeffs), s_values, walked, *_ = plan
     count, n, steps = len(pairs), len(pairs[0][0]), (walked[-1] - 3) // 2
-    gram, evolved, left, right = (buffer[:count] for buffer in workspace)
+    *buffers, calls = workspace
+    gram, evolved, left, right = (buffer[:count] for buffer in buffers)
     left, right = left[:, :steps], right[:, :steps]
     for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
         a = u_a[:, rows]
@@ -329,11 +341,15 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
     spread = right.view(complex)  # (R, steps, 4, n): rows p̄₁, i·p̄₁, p̄₂, i·p̄₂
     np.conjugate(new.swapaxes(-1, -2), out=spread[..., ::2, :])
     np.multiply(spread[..., ::2, :], 1j, out=spread[..., 1::2, :])
-    flat, step = gram.view(float), evolved.view(float)  # the steps overwrite the states, read by now
+    flat, step = gram.view(float), evolved.view(float)  # without _dgemm, the products overwrite the states
     for k, s in enumerate(range(3, walked[-1] + 1, 2), -1):
         if s > 3:  # two more columns: a rank-2 update
             lo -= 1
-            flat += np.matmul(left[:, k], right[:, k], out=step)
+            if calls is None:
+                flat += np.matmul(left[:, k], right[:, k], out=step)
+            else:
+                for args in calls[k][:count]:
+                    _dgemm(*args)
         if s in walked:
             out[:, :, s_values.index(s)] = _read(gram[:, lo:lo + s, lo:lo + s])
 

@@ -10,7 +10,9 @@ calls its LAPACK directly (``_qr``), in place and bit-equal to
 ``np.linalg.qr`` (tested); elsewhere it is ``np.linalg.qr``.  Under OpenBLAS
 the QR runs on one BLAS thread (``_one_blas_thread``), so the draws do not
 depend on the BLAS thread count; the engine's runs enter the same scope
-(``ensemble._collect``).
+(``ensemble._collect``).  The module also binds that library's
+``cblas_dgemm`` (``_dgemm``), with which the engine's walk adds each
+rank-2 update into its Gram in one call (``ensemble._walk``).
 """
 
 from __future__ import annotations
@@ -31,21 +33,26 @@ __all__ = ["RngStream", "uniform_spreading_unitary", "sample_cue"]
 logger = logging.getLogger(__name__)
 
 
-# OpenBLAS 0.3.27 on exports a setter of the BLAS thread count that returns the previous
-# count; looking it up on numpy's linalg extension also searches the BLAS library it links.
+# numpy's linalg extension links its BLAS, so a lookup on it also searches the BLAS library; where
+# numpy links no shared BLAS and LAPACK, every binding below is None and its caller falls back to numpy.
 try:
-    _set_blas_threads = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+except OSError:
+    _lib = None
+
+# OpenBLAS 0.3.27 on exports a setter of the BLAS thread count that returns the previous count.
+try:
+    _set_blas_threads = _lib.openblas_set_num_threads_local
     _set_blas_threads.argtypes, _set_blas_threads.restype = [ctypes.c_int], ctypes.c_int
-except (AttributeError, OSError):  # another BLAS or an older OpenBLAS
+except AttributeError:  # another BLAS, an older OpenBLAS or no library
     _set_blas_threads = None
 
 
 # numpy's wheels link scipy-openblas64, whose LAPACK names carry a scipy_ prefix and take 64-bit
 # integers (ILP64); where either name is missing, the draw's QR is np.linalg.qr's (``_qr``).
 try:
-    _geqrf, _ungqr = (getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_z{name}_64_")
-                      for name in ("geqrf", "ungqr"))
-except (AttributeError, OSError):
+    _geqrf, _ungqr = (getattr(_lib, f"scipy_z{name}_64_") for name in ("geqrf", "ungqr"))
+except AttributeError:
     _geqrf = _ungqr = None
 else:
     _int, _array = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(complex, flags="F_CONTIGUOUS")
@@ -53,6 +60,14 @@ else:
     _geqrf.argtypes = [_int, _int, _array, _int, _array, _array, _int, _int]
     _ungqr.argtypes = [_int, _int, _int, _array, _int, _array, _array, _int, _int]
     _geqrf.restype = _ungqr.restype = None
+
+# The same library's cblas_dgemm(order, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc),
+# the call numpy's float matmul makes, takes its enums as C ints and its sizes as 64-bit integers.
+# It has no argtypes: the engine's walk builds every argument as a ctypes object once per run
+# (``_dgemm_calls``), since at n = 51 a call that converts them took 3.5 µs, against 2.0 µs.
+_dgemm = getattr(_lib, "scipy_cblas_dgemm64_", None)
+if _dgemm is not None:
+    _dgemm.restype = None
 
 
 _blas_lock = threading.RLock()
@@ -129,6 +144,26 @@ def uniform_spreading_unitary(n: int) -> np.ndarray:
     _check_int("n", n, 3, odd=True)
     levels = np.arange(-(n // 2), n // 2 + 1)
     return np.exp(2j * np.pi * np.outer(levels, levels) / n) / np.sqrt(n)
+
+
+def _dgemm_calls(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[list[tuple]]:
+    """The ``_dgemm`` arguments of c[r] ← a[r, k]·b[r, k] + c[r], for every k (outer list) and r.
+
+    ``c`` is an (R, M, N), ``a`` an (R, K, M, p) and ``b`` an (R, K, p, N)
+    float stack.  Each call passes raw addresses, so the last two axes of all
+    three must be C-contiguous (asserted).  One call makes the product
+    numpy's matmul makes and adds it into c[r] with β = 1, the same bits as
+    ``c[r] += a[r, k] @ b[r, k]`` without the product's scratch array.
+    """
+    for x in (c, a, b):
+        assert x.dtype == float and (x.strides[-2:] == (x.shape[-1] * 8, 8) or not x.size), x.strides
+    m, n, p = (ctypes.c_int64(size) for size in (*c.shape[1:], a.shape[-1]))
+    one, at = ctypes.c_double(1.0), ctypes.c_void_p
+    (c0, cr, _, _), (a0, ar, ak, _, _), (b0, br, bk, _, _) = ((x.ctypes.data, *x.strides) for x in (c, a, b))
+    cs = [at(c0 + r * cr) for r in range(len(c))]
+    # 101, 111: CblasRowMajor, CblasNoTrans
+    return [[(101, 111, 111, m, n, p, one, at(a0 + r * ar + k * ak), p, at(b0 + r * br + k * bk), n,
+              one, c_r, n) for r, c_r in enumerate(cs)] for k in range(a.shape[1])]
 
 
 def _lapack(routine, *args) -> None:

@@ -690,6 +690,23 @@ def test_stacked_walk_equals_one_state_at_a_time():
         assert np.array_equal(stacked[:, r], single[:, 0], equal_nan=True), r
 
 
+@pytest.mark.skipif(ensemble._dgemm is None, reason="numpy links no scipy-openblas64 cblas_dgemm")
+@pytest.mark.parametrize("n, m, count", [(51, 38, 6), (201, 201, 1), (201, 101, 1)])
+def test_walk_without_the_dgemm_binding_is_bit_identical(monkeypatch, n, m, count):
+    # Each fused step C ← A·B + C must give the bits of numpy's matmul into a
+    # scratch array and a separate +=: a chunk of 6 stacked draws at n = 51,
+    # and at n = 201 the walk of m = 201 (98 steps) and of m = 101 (all 99).
+    plan = ensemble._plan(n, m, tuple(range(3, n + 1, 2)))
+    pairs = [ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(5).child(j), True) for j in range(count)]
+    fused, fallback = (np.full((2, count, len(plan[1])), np.nan) for _ in range(2))
+    ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fused)
+    monkeypatch.setattr(ensemble, "_dgemm", None)
+    ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fallback)
+    walked = plan[4]
+    assert not np.isnan(fused[..., walked]).any()
+    assert np.array_equal(fused, fallback, equal_nan=True)
+
+
 def test_walk_reuses_its_workspace():
     # A walk over a warm workspace allocates no n×n array: the evolved states,
     # the Gram and the factor stacks of every step are the workspace's.  Only

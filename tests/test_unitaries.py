@@ -108,6 +108,19 @@ def test_cue_allocates_little_beyond_its_result():
     assert peak <= 2 * n * n * np.dtype(complex).itemsize, peak
 
 
+@pytest.mark.skipif(unitaries._geqrf is None, reason="numpy links no scipy-openblas64 LAPACK")
+def test_lapack_error_raises_and_names_the_argument(capfd):
+    # lda < n is argument 4 of zgeqrf: LAPACK's xerbla reports it and returns info = -4 unwritten.
+    n = 5
+    a = np.zeros((n, n), complex, order="F")
+    tau, work = np.empty(n, complex), np.empty(n, complex)
+    with pytest.raises(np.linalg.LinAlgError, match=r"scipy_zgeqrf_64_ returned info=-4$"):
+        unitaries._lapack(unitaries._geqrf, n, n, a, n - 1, tau, work, n)
+    printed = " ".join("".join(capfd.readouterr()).split())  # xerbla pads the number
+    assert "On entry to ZGEQRF parameter number 4 had an illegal value" in printed, printed
+    assert not a.any()
+
+
 @needs_setter
 def test_cue_bits_do_not_depend_on_the_blas_thread_count():
     script = (
