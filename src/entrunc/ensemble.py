@@ -1,105 +1,35 @@
 """Monte Carlo engine: (m, s) sweeps under uniform-spreading or Haar dynamics.
 
 A *realization* draws one pair of local unitaries and evaluates every
-requested m against it.  A run keeps one record, the Schmidt number K and the
-weight w of every (realization, m, s), and its statistics (per-(m, s) means
-and population standard deviations) are reduced from that record by
-``_reduce``, which reads a cell whose draws are all identical as that value
-with a spread of 0.0.
+requested m against it.  Each reader writes a window's trace moments
+(w, q) = (tr G, tr G²), G the Gram of its central s×s block, into the run's
+one record; ``_collect`` alone forms K = w²/q from it, and ``_reduce`` every
+mean and population std.  The chain ``truncate → reduced_purity →
+schmidt_number`` is the single-window reference the tests hold every window to.
 
-Window kernel.  Per (realization, m) the state is C = A·Bᵀ with
-A = U_A[R, E]·β_E and B = U_B[R, E′], gathered through the m encoding
-columns E, E′ (read once per run, with β_E, from the sparse definition of β)
-and over only the rows R that a read needs: all n rows for the walk below,
-the rows outside a wide anchor, and for every other window of the draw one
-gather of the central rows of the widest of them.  Window s has the trace
-moments w = tr G = tr ρ̃ (its weight) and q = tr G² = ‖G‖²_F = tr ρ̃², with
-G = C_W·C_W† the Gram of its central s×s block C_W.  Every path below
-writes the pair (w, q) into one (2, draws, |m|, |windows|) array of the run,
-and ``_collect`` alone forms the Schmidt number K = w²/q from it, once, over
-the whole array.  The windows are nested, so the kernel grows their Grams
-outward one shell (two levels) at a time from s = 3, by one of two routes
-that ``_small_route`` picks from (n, m) alone: m² ≤ 8n, fitted to the
-measured cost of both at n = 51 and n = 201.
+Each engine rule and its measured reason are stated once, in the docstring of:
 
-* The walk evolves the n×n state C in O(n²m), the only route that does,
-  keeps the n×n row Gram C[:, W]·C[:, W]† of the window's columns W, adds
-  two columns per shell as a rank-2 update, and reads window s off its
-  central block through ``_read``: O(n³) per m.  Each update is one
-  real (n×4)·(4×2n) product added into the Gram's float view by one BLAS
-  call, dgemm with β = 1, where numpy links scipy-openblas64
-  (``unitaries._dgemm``); elsewhere it is numpy's matmul and a ``+=``.
-  BLAS runs a complex product with an inner dimension of 2 several times
-  slower (see ``_walk``).
-* The m×m route uses that C has rank m.  With P = A_W†A_W and
-  Q = B_W†B_W, w = tr(P·Q̄) and q = tr((P·Q̄)²): one batched product
-  gives every shell's m×m increment, one cumsum sums them into every P and
-  Q̄, and one batched P·Q̄ reads every window, in O(n m²) plus O(m³) per
-  window.
+* ``_plan``: which reader takes each window; where the weight rule is checked.
+* ``_small_route``: walk or m×m Grams, from (n, m).
+* ``_outside_read``: an anchor read off the rows outside it, from (n, s).
+* ``_chunk``: how many draws the kernel reads together.
+* ``_pipelined``: when a worker thread reads draw j while the run draws j + 1.
+* ``_walk``, ``_read_small``, ``_read_outside`` and ``_windows``: the readers.
+* ``unitaries._one_blas_thread`` and ``unitaries._qr``: BLAS threads, the QR.
 
-Either route passes every requested window but the anchor s* = m | 1 (the
-smallest odd s ≥ m).  A narrow anchor is read by ``_read`` off the Gram
-C_W·C_W† of its own central block, a product A_W·B_Wᵀ sized by (s, m) alone
-(``_block``).  A wide one, 3s* ≥ 2n (``_outside_read``, a rule of (n, s*)
-alone), is read by ``_read_outside`` off the r = n − s* rows of A and B
-outside the window: A†A = αI (α = 1/m) and B†B = I make P·Q̄ the sum of αI
-and a term of rank 2r, so (w, q) cost O(r²m) in place of the block's
-O(s²m + s³), and at s* = n they are the closed form (αm, α²m).  The
-degenerate-weight rule is checked once per (realization, m), on the
-narrowest requested window: nested windows only gain weight, so that one
-check covers all.  Where that window has a block (it is not a wide anchor),
-the check is a ``truncate`` of it, and one block serves it and a narrow
-anchor when they coincide; a wide anchor has no block, and its w goes
-through ``pipeline._check_weight``, the rule ``truncate`` applies.  So a
-loss sweep (s = m) takes neither route and allocates no n×n array beyond
-the Haar pair.  ``_plan`` is the one place that applies these rules: once
-per (run, m), it splits the requested windows among the walk, the m×m
-Grams, the blocks and the outside read, and its plan, which also carries the
-encoding's entries, is all that the readers take of m.  The
-public chain ``truncate → reduced_purity → schmidt_number`` stays the
-single-window reference that the tests compare every window against.
-
-Chunks.  ``_collect`` draws realizations in chunks of R = ``_chunk(n)``,
-max(1, ⌊2¹⁴/n²⌋): 6 at n = 51, 1 from n = 91, and splits the kernel into
-batched and per-draw work.  ``_walk`` does the batched work and nothing
-else: it evolves the R states of one walk-route m into one stack, walks
-them together, so each step is one batched product for the chunk, and writes
-each walked window straight into the record; its buffers come from one
-``_workspace`` per run.  ``_windows`` does the rest, draw by draw in
-realization order: the m×m route (stacked over a chunk, its Grams cost more
-in page faults than they save in calls), the narrowest window's block and a
-narrow anchor, all off the draw's one gather of central rows, and a wide
-anchor off its outside rows; then it checks the degenerate-weight rule, so
-its errors keep realization order.  Where a chunk is one draw and a run has
-more than one (``_pipelined``), the run's one worker thread reads draw j
-while the caller's thread draws j + 1, which it hands over once read j is
-done; the draws, their index order and every value stay as they are.
-:func:`run_cell` is a run of one draw: ``_collect`` over its one stream, so
-it never pipelines.
-
-Reproducibility contract: realization j uses the streams ``base.child(j, 0)``
-and ``base.child(j, 1)`` for the two subsystems, for every m; the pair is
-drawn once, so cells of different m in one run are correlated.  A window's
-value depends only on the draw and (n, m, s), not on which other windows
-are requested, so :func:`loss_sweep` equals the diagonal of
-:func:`run_ensemble` exactly; nor on the chunk it ran in, since a batched
-product makes per draw the BLAS call a lone draw makes.  Realizations are
-drawn in index order, and statistics are reduced in fixed index order — so
-the output is bit-identical for a fixed master seed and numpy/BLAS build,
-and :func:`run_cell` replays any realization of any m in isolation: row j of
-a run's record equals ``run_cell(…, base.child(j))``, on the pipelined path
-too, since a read on the worker thread makes the calls a serial read makes.
-Under an OpenBLAS with its thread setter, ``_collect`` runs each whole run,
-its worker thread included, on one BLAS thread
-(``unitaries._one_blas_thread``) and restores the caller's count after it,
-so no output byte depends on the BLAS thread count either; without the
-setter a run uses the caller's count, which can change the last digits.
-A pipelined run raises the error the serial order meets first, and its
-worker thread ends with the run, raising or not.  Runs log a progress line
-with rate and ETA at most every ``PROGRESS_EVERY_S`` seconds.  The
-``workers`` argument of :func:`run_ensemble` and :func:`loss_sweep` is
-accepted for compatibility and has no effect: a run's one worker thread
-does not depend on it.
+Reproducibility contract: realization j draws from ``base.child(j, 0)`` and
+``base.child(j, 1)`` for the two subsystems and serves every m, so cells of
+different m in one run are correlated.  A window's value depends only on the
+draw and (n, m, s): not on the other windows requested (:func:`loss_sweep`
+is exactly the diagonal of :func:`run_ensemble`), the chunk or the thread.
+Draws and reductions go in index order, so the output is bit-identical for a
+fixed master seed and numpy/BLAS build, and row j of a run's record equals
+``run_cell(…, base.child(j))``.  Where OpenBLAS has its thread setter, no
+output byte depends on the BLAS thread count (``unitaries._one_blas_thread``).
+A run raises the error the serial order meets first, and logs a progress
+line with rate and ETA at most every ``PROGRESS_EVERY_S`` seconds.
+``workers`` (:func:`run_ensemble`, :func:`loss_sweep`) is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -277,13 +207,11 @@ def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
 def _workspace(count: int, n: int, widest: int) -> tuple:
     """The walk's buffers for up to ``count`` stacked n×n states up to window ``widest``.
 
-    Its row Gram, the evolved states, the row and column factors of every
-    step, and the ``_dgemm`` arguments that add each step's product into the
-    Gram (``unitaries._dgemm_calls``; None without the binding, where each
-    product goes into the evolved states' buffer, read by then, and a
-    ``+=`` adds it).  ``_collect`` keeps one per run: fresh factor stacks
-    cost every walk their page faults again, and the arguments cost about
-    100 µs to build, as much as a walk at n = 51 saves by them.
+    The row Gram, the evolved states, every step's two factors and every
+    step's ``_dgemm`` arguments (None without the binding).  ``_collect``
+    keeps one per run: fresh factor stacks cost every walk their page faults
+    again, and the arguments took 96 µs to build at n = 51 (R = 6, one BLAS
+    thread), as long as 7 of the walk's 24 steps there.
     """
     gram = np.empty((count, n, n), complex)
     steps = (widest - 3) // 2
@@ -295,32 +223,26 @@ def _workspace(count: int, n: int, widest: int) -> tuple:
 def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) -> None:
     """Evolve each (U_A, U_B) draw of ``pairs``, walk them, and write the walked (w, q) into ``out``.
 
-    ``plan`` (from ``_plan``) names the walked windows, at least one;
-    ``_windows`` reads every other window.  ``out`` is the
-    (2, R, len(s_values)) slice of the run's record for these R draws.  Their
-    R evolved n×n states are walked together, each step one batched product
-    for all of them (R ``_dgemm`` calls where it is bound), with the buffers
-    and call arguments of ``workspace`` (from ``_workspace``,
-    for at least R states and the widest walked window).
+    ``plan`` (``_plan``) names the walked windows, at least one; ``out`` is
+    the (2, R, len(s_values)) slice of the run's record for these R draws;
+    ``workspace`` (``_workspace``) holds at least R states up to the widest
+    walked window.  Each n×n state C = U_A[:, E]·β_E·U_B[:, E′]ᵀ (E, E′ the
+    encoding's columns) costs O(n²m), and its walk O(n³) whatever m is: from
+    the row Gram of window s = 3 over every row of C, widened two columns at a
+    time, each window s is read (``_read``) off its central s×s block.  No
+    value depends on the other windows, nor on R: each step makes per state
+    the BLAS call a lone state makes.
 
-    Starts from the row Gram of window s = 3 over every row of the state and
-    widens it two columns at a time; window s is its central s×s block.  The
-    Gram at step s does not depend on the other windows, so neither does any
-    value.
-
-    Each step adds p·p† for the n×2 pair p of new columns, as one real
-    (n×4)·(4×2n) product added into the Gram's float view (Re and Im
-    interleaved): per state one ``_dgemm`` call with β = 1, the bits of
-    numpy's matmul and a ``+=`` (tested), which is the fallback.
-    Row i of its row factor is ℓ_i = (Re p_i1, Im p_i1, Re p_i2, Im p_i2); its
-    column factor is the float view of the complex 4×n stack
-    [p̄₁; i·p̄₁; p̄₂; i·p̄₂], whose column k holds ℓ_k in its real parts and
-    (−Im p_k1, Re p_k1, −Im p_k2, Re p_k2) in its imaginary ones, so entry 2k
-    of row i is Re(p_i·p̄_k) and entry 2k + 1 is Im(p_i·p̄_k).  OpenBLAS
-    serves a complex product with an inner dimension of 2 poorly: at n = 201
-    (OpenBLAS 0.3.31, 2 cores) the complex step with its ``+=`` took 65 µs
-    at one thread and 107 µs at two, the real product with its ``+=`` 49 µs
-    and the one ``_dgemm`` call 20 µs at either.
+    A step adds p·p† for the n×2 pair p of new columns as one real
+    (n×4)·(4×2n) product into the Gram's float view (Re and Im interleaved):
+    per state one ``_dgemm`` call with β = 1, with the bits of the fallback,
+    numpy's matmul and a ``+=`` (tested).  Row i of the row factor is
+    ℓ_i = (Re p_i1, Im p_i1, Re p_i2, Im p_i2); the column factor is the float
+    view of the complex 4×n stack [p̄₁; i·p̄₁; p̄₂; i·p̄₂], so entry 2k of row i
+    is Re(p_i·p̄_k) and entry 2k + 1 is Im(p_i·p̄_k).  The product is real
+    because OpenBLAS serves a complex one with an inner dimension of 2 poorly
+    (CHANGES.md keeps the timings); at one BLAS thread a step took 21 µs at
+    n = 201 and 13 µs for R = 6 at n = 51.
     """
     (rows, cols, coeffs), s_values, walked, *_ = plan
     count, n, steps = len(pairs), len(pairs[0][0]), (walked[-1] - 3) // 2
@@ -357,9 +279,15 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
 def _small_route(n: int, m: int) -> bool:
     """Whether the windows of (n, m) are read off m×m Grams (``_read_small``), not walked.
 
-    The walk costs O(n³) whatever m is; the m×m route grows with m.  Timed
-    on one draw at the run's one BLAS thread, the two break even near m = 21
-    at n = 51 and m = 43 at n = 201, both near m² = 9n.
+    The walk (``_walk``) costs O(n³) whatever m is; the m×m route O(n m²)
+    plus O(m³) per window.  At the run's one BLAS thread, on every odd window
+    of one draw, they are level for m = 29-33 at n = 201 (m = 26: 3.0 ms m×m,
+    4.5 ms walked; m = 38: 6.4 and 4.7 ms) and, with chunks of 6 draws batching
+    the walk, at m = 13 for n = 51 (0.19 ms per draw), where walking every m
+    left ``sweep51`` level (each faster in 5 of 10 alternating perfbench pairs).
+    The rule, m² ≤ 8n, reaches past both (m ≤ 40 at n = 201, m ≤ 20 at
+    n = 51); moving it would change the bits of the m it moves.  It reads
+    (n, m) alone, so a window's value depends only on the draw and (n, m, s).
     """
     return m * m <= 8 * n
 
@@ -393,10 +321,12 @@ def _outside_read(n: int, s: int) -> bool:
     """Whether anchor window s is read off the n − s rows outside it (``_read_outside``).
 
     The anchor's own block and its Gram cost O(s²m + s³), the rows outside
-    O((n − s)²m).  Timed with m = s on one draw at the run's one BLAS
-    thread, the two break even near s = 30 at n = 51 and s = 125 at
-    n = 201, a little below 3s = 2n.  The rule reads (n, s) alone, so a
-    window's value still depends only on the draw and (n, m, s).
+    O((n − s)²m).  With m = s, on one draw at the run's one BLAS thread, they
+    break even near s = 29-31 at n = 51 (3s ≈ 1.8n) and s = 135-139 at
+    n = 201 (3s ≈ 2.05n).  With every anchor read off its block, ``loss201``
+    took 0.17-0.22 s wall against 0.08-0.11 s (6 of 6 alternating perfbench
+    pairs).  The rule, 3s ≥ 2n, reads (n, s) alone, so a window's value
+    depends only on the draw and (n, m, s).
     """
     return 3 * s >= 2 * n
 
@@ -425,14 +355,16 @@ def _plan(n: int, m: int, s_values: tuple[int, ...]) -> tuple:
     """How (n, m) reads the windows ``s_values``: the one place the route rules apply.
 
     Returns (entries, s_values, walked, small, nested, anchor, blocks, wide),
-    everything the readers take for one m.  ``entries`` are the encoding's
+    all that the readers take of m; ``entries`` are the encoding's
     (rows, cols, β[rows, cols]) (``_encoding_entries``).  Every window but the
-    anchor s* = m | 1 goes to the walk (``walked``) or, where ``_small_route``
-    holds, to the m×m Grams (``small``); the other list is empty, and
-    ``nested`` masks both in ``s_values``.  ``blocks`` are the windows read off
-    their own block: the narrowest, for the degenerate-weight rule, unless it
-    is a wide anchor, and a narrow anchor.  ``wide`` says whether the anchor is
-    requested and read off its outside rows (``_outside_read``).  The rules
+    anchor s* = m | 1 (the smallest odd s ≥ m) is walked (``walked``) or,
+    where ``_small_route`` holds, read off m×m Grams (``small``); ``nested``
+    masks them in ``s_values``.  ``wide``: the anchor is requested and read off
+    its outside rows (``_outside_read``).  Nested windows only gain weight, so
+    the degenerate-weight rule is checked once per (draw, m), on the narrowest
+    window: by ``truncate`` of its block (``blocks`` holds it and a narrow
+    anchor), or by ``pipeline._check_weight`` on the w of a wide anchor, which
+    has no block.  A loss sweep (s = m) thus takes neither route.  The rules
     read (n, m, s) alone, so ``_collect`` plans each m once per run.
     """
     anchor = m | 1
@@ -449,9 +381,10 @@ def _windows(plan: tuple, u_a: np.ndarray, u_b: np.ndarray, out: np.ndarray) -> 
 
     ``out`` is this draw's (2, len(s_values)) row of the run's record, and
     ``plan`` is ``_plan(n, m, s_values)``.  Those windows are the anchor and
-    the windows of the m×m Grams.  All but a wide anchor are read off one
-    gather of the central rows of the widest of them, which also gives the
-    block of the narrowest window for the degenerate-weight rule (module doc).
+    the m×m route's; all but a wide anchor are read off one gather of the
+    central rows of the widest of them, which also gives the narrowest
+    window's block.  One draw at a time keeps errors in realization order;
+    stacked m×m Grams would save calls but cost more in page faults.
     """
     (rows, cols, coeffs), s_values, _, small, nested, anchor, blocks, wide = plan
     n, narrowest = len(u_a), s_values[0]
@@ -503,8 +436,11 @@ def run_cell(
 def _chunk(n: int) -> int:
     """Realizations drawn and evaluated together: about 2¹⁴ state entries, one draw from n = 91.
 
-    At small n the window kernels cost their numpy call overhead more than
-    their arithmetic, and one call serves a whole chunk.
+    At small n the kernels cost their numpy call overhead more than their
+    arithmetic, and one call serves a whole chunk: ``_walk`` walks its draws
+    together.  ``_windows`` still reads draw by draw.  With chunks of one
+    draw, ``sweep51`` (n = 51) took 0.36-0.43 s wall against 0.26-0.31 s, in
+    6 of 6 alternating perfbench pairs, for 1.5 MB less peak RSS.
     """
     return max(1, 2**14 // (n * n))
 
@@ -519,13 +455,16 @@ def _streams(config: SweepConfig) -> list[RngStream | None]:
 def _pipelined(n: int, draws: int) -> bool:
     """Whether a run reads draw j on a worker thread while it draws j + 1 (``_collect``).
 
-    Where a chunk is one draw (n ≥ 91) and there are at least two, the Haar
-    draw, about 55% of a serial ``loss201`` pass (0.045-0.070 of 0.086-0.126 s,
-    2 cores), runs alongside the reads of the draw before it.  Timed serial → pipelined on loss grids: n = 51 0.050 → 0.079 s
-    (its chunks of 6 batch the reads instead), n = 71 level, n = 91 0.075 →
-    0.064 s, n = 131 0.107 → 0.074 s.  Where walks make most of the reads
-    (README's n = 201 grid) the gain is small: a walk slows down while a
-    draw runs alongside it.
+    Where a chunk is one draw (``_chunk``) and there are at least two, the
+    Haar draws run alongside the reads of the draw before; no value changes.
+    With the pipeline off, in alternating perfbench pairs, ``loss201`` took
+    0.105-0.134 s wall against 0.080-0.091 s (6 of 6; 10% less CPU) and
+    ``sweep201`` 0.111-0.150 s against 0.107-0.136 s (9 of 10; CPU level),
+    each for 2-3 MB less peak RSS.  Pipelined chunks do not pay: they raised
+    ``sweep51``'s CPU time from 0.24-0.31 s to 0.31-0.36 s (6 of 6) for a
+    wall time within noise.  A loss grid of 40 draws ran slower pipelined at
+    n = 71 (chunks of 3) in 5 of 6 alternating runs, and faster at n = 91:
+    0.127-0.134 s against 0.153-0.178 s serial.
     """
     return draws >= 2 and _chunk(n) == 1
 
@@ -537,25 +476,16 @@ def _collect(
     """The record (K, weight) of one draw per stream of ``streams``, for every m.
 
     ``windows[i]`` are the windows of ``config.m_values[i]``, equally many for
-    every m; the run plans each m once (``_plan``) and sizes its walk buffers
-    from the walked windows.  Realization j draws its pair once, from
-    ``streams[j]`` (unused for the deterministic uniform kind), and evaluates
-    every m against it.  Realizations run in chunks of ``_chunk(n)``: a chunk
-    draws its pairs in index order, walks the walked windows of each m that
-    walks through ``_walk`` at once, then reads every other window
-    realization by realization, m by m, through ``_windows`` (so the
-    degenerate-weight check, its errors and the progress lines keep
-    realization order).  Where ``_pipelined`` holds, one
-    worker thread of the run reads chunk j (one draw) while this thread draws
-    j + 1, and this thread waits for read j before it hands over j + 1: one
-    workspace and at most two pairs are alive, and an error of read j wins
-    over one of draw j + 1, as in the serial order.  The draws stay on this
-    thread, which holds the run's BLAS scope (``sample_cue`` enters it too).
-    Both write (w, q) into one array of shape (2, len(streams),
-    len(config.m_values), len(windows[0])), over which K = w²/q is formed
-    once.  Returns K and w, each of the record's shape (len(streams),
-    len(config.m_values), len(windows[0])).  The whole run is one
-    ``_one_blas_thread`` scope, so no value depends on the BLAS thread count.
+    every m.  A chunk (``_chunk``) draws its pairs, one per stream (unused for
+    the uniform kind), in index order, walks each m that walks (``_walk``),
+    then reads every other window draw by draw, m by m (``_windows``), so
+    errors and progress lines keep realization order.  Where ``_pipelined``
+    holds, one worker thread reads chunk j while this thread, which holds the
+    run's ``_one_blas_thread`` scope, draws j + 1 and waits for read j before
+    it hands j + 1 over: one workspace and at most two pairs are alive, and an
+    error of read j wins over one of draw j + 1.  Returns K = w²/q, formed
+    once over the run's (w, q) array, and w, each of shape (len(streams),
+    len(config.m_values), len(windows[0])).
     """
     n, draws = config.n, len(streams)
     plans = [_plan(n, m, s_values) for m, s_values in zip(config.m_values, windows)]

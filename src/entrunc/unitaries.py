@@ -5,14 +5,9 @@ Unitaries use the same level-to-offset convention as the state matrices
 unitary ensemble (Haar measure) via QR decomposition of a complex Ginibre
 matrix with the standard diagonal phase correction, and are reproducible:
 the same :class:`RngStream` always yields the same matrix for a fixed
-numpy/BLAS build.  Where numpy links scipy-openblas64 (numpy's wheels) the QR
-calls its LAPACK directly (``_qr``), in place and bit-equal to
-``np.linalg.qr`` (tested); elsewhere it is ``np.linalg.qr``.  Under OpenBLAS
-the QR runs on one BLAS thread (``_one_blas_thread``), so the draws do not
-depend on the BLAS thread count; the engine's runs enter the same scope
-(``ensemble._collect``).  The module also binds that library's
-``cblas_dgemm`` (``_dgemm``), with which the engine's walk adds each
-rank-2 update into its Gram in one call (``ensemble._walk``).
+numpy/BLAS build.  The module also binds the BLAS library that numpy links,
+where it can: its QR (``_qr``), its ``cblas_dgemm`` (``_dgemm``, for
+``ensemble._walk``) and its thread setter (``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -48,8 +43,7 @@ except AttributeError:  # another BLAS, an older OpenBLAS or no library
     _set_blas_threads = None
 
 
-# numpy's wheels link scipy-openblas64, whose LAPACK names carry a scipy_ prefix and take 64-bit
-# integers (ILP64); where either name is missing, the draw's QR is np.linalg.qr's (``_qr``).
+# numpy's wheels link scipy-openblas64, whose LAPACK names carry a scipy_ prefix and take 64-bit integers.
 try:
     _geqrf, _ungqr = (getattr(_lib, f"scipy_z{name}_64_") for name in ("geqrf", "ungqr"))
 except AttributeError:
@@ -62,9 +56,8 @@ else:
     _geqrf.restype = _ungqr.restype = None
 
 # The same library's cblas_dgemm(order, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc),
-# the call numpy's float matmul makes, takes its enums as C ints and its sizes as 64-bit integers.
-# It has no argtypes: the engine's walk builds every argument as a ctypes object once per run
-# (``_dgemm_calls``), since at n = 51 a call that converts them took 3.5 µs, against 2.0 µs.
+# the call numpy's float matmul makes, takes its enums as C ints and its sizes as 64-bit integers. It
+# has no argtypes: converting the arguments on each call costs more than the call (``_dgemm_calls``).
 _dgemm = getattr(_lib, "scipy_cblas_dgemm64_", None)
 if _dgemm is not None:
     _dgemm.restype = None
@@ -77,23 +70,21 @@ _blas_lock = threading.RLock()
 def _one_blas_thread():
     """Run the block on one BLAS thread, then restore the caller's count.
 
-    Without the setter the block runs as it is.  It scopes two things: each
-    Haar draw's QR (``sample_cue``) and each whole engine run
-    (``ensemble._collect``), so no output byte of a run depends on the BLAS
-    thread count.  A one-thread complex QR takes 0.6-0.99 of its two-thread
-    time for n = 101 to 301 and the same at n = 51; it is slower from about
-    n = 400, a size no workload draws.  A run's products are small enough
-    that the second thread mostly spins.  The setter acts on the calling
-    thread alone only in OpenBLAS's OpenMP builds; its pthreads builds
-    (numpy's wheels among them) keep one count for the process.  The lock is
-    re-entrant, so a draw's scope nests inside its run's, and it keeps scopes
-    entered from two Python threads from interleaving: each restore pairs
-    with its own set, runs and draws from several threads take turns, and
-    BLAS calls that other threads make meanwhile also run on one thread.  So
-    the worker thread of a pipelined run, which reads while the run's own
-    thread draws, must not enter the scope: the run holds the lock until its
-    worker is done.  It sets its own count to one instead, which an OpenMP
-    build needs and a pthreads build already has.
+    Without the setter the block runs as it is.  It scopes each Haar draw's
+    QR (``sample_cue``) and each whole engine run (``ensemble._collect``), so
+    no output byte of a run depends on the BLAS thread count.  On one thread
+    ``_qr`` took 0.5-1.03 of its two-thread time for n = 51 to 501 (0.83 at
+    n = 201).  A run's products are small, so a second thread mostly spins:
+    without the setter, at two threads, medians of 6 alternating perfbench
+    pairs rose from 0.29 to 0.55 s CPU on ``sweep51``, 0.16 to 0.34 s on
+    ``sweep201`` and 0.15 to 0.44 s on ``loss201``; wall time held or rose.
+    OpenBLAS's pthreads builds (numpy's wheels) keep one count per process,
+    so the lock is re-entrant, letting a draw's scope nest in its run's, and
+    keeps two Python threads' scopes from interleaving: each restore pairs
+    with its own set, and runs and draws from several threads take turns.  A
+    pipelined run's worker thread must not enter the scope, which the run
+    holds until its worker is done; it sets its own count to one, as
+    OpenBLAS's OpenMP builds (a count per thread) need.
     """
     if _set_blas_threads is None:
         yield
@@ -151,8 +142,7 @@ def _dgemm_calls(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[list[tuple
 
     ``c`` is an (R, M, N), ``a`` an (R, K, M, p) and ``b`` an (R, K, p, N)
     float stack.  Each call passes raw addresses, so the last two axes of all
-    three must be C-contiguous (asserted).  One call makes the product
-    numpy's matmul makes and adds it into c[r] with β = 1, the same bits as
+    three must be C-contiguous (asserted).  A call gives the bits of
     ``c[r] += a[r, k] @ b[r, k]`` without the product's scratch array.
     """
     for x in (c, a, b):
@@ -191,9 +181,12 @@ def _lwork(n: int) -> tuple[int, int]:
 def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q and R's diagonal of the QR of the Fortran-ordered n×n ``a``, bit-equal to ``np.linalg.qr``'s.
 
-    With the LAPACK binding the factorization overwrites ``a``, which is
-    returned as Q: numpy's QR runs the same two routines with the same lwork,
-    between copies of the input, of Q and of all of R.
+    Where numpy links scipy-openblas64 (numpy's wheels), LAPACK's zgeqrf and
+    zungqr run on ``a`` in place, and ``a`` is returned as Q: numpy's QR runs
+    the same two routines with the same lwork, between copies of the input, of
+    Q and of all of R (bit-equality is tested).  At one BLAS thread it took
+    3.1 ms at n = 201 against 4.3-4.4 ms through ``np.linalg.qr``, and 0.125
+    against 0.130 ms at n = 51.  Elsewhere it is ``np.linalg.qr``.
     """
     if _geqrf is None:
         q, r = np.linalg.qr(a)
@@ -210,16 +203,13 @@ def sample_cue(n: int, stream: RngStream) -> np.ndarray:
     """Draw an n×n Haar-distributed unitary from the given stream.
 
     Standard construction: an n×n matrix of independent standard complex
-    Gaussians (x + iy)/√2 is QR-factorized and the columns of Q are rescaled
-    by R_jj/|R_jj|, which makes the factorization the unique one with a
-    positive-diagonal R and hence Q exactly Haar.  In the measure-zero event
-    that some |R_jj| underflows to 0 the draw is retried on the next
-    sub-stream (logged), keeping the result a pure function of ``stream``.
-    The QR runs inside ``_one_blas_thread()``; it is LAPACK's zgeqrf and
-    zungqr called directly on a Fortran-ordered matrix where numpy links
-    scipy-openblas64, bit-equal to ``np.linalg.qr`` (tested), and
-    ``np.linalg.qr`` elsewhere (``_qr``).  The result is Fortran-ordered on
-    the first path and C-ordered on the second.
+    Gaussians (x + iy)/√2 is QR-factorized (``_qr``, on one BLAS thread) and
+    the columns of Q are rescaled by R_jj/|R_jj|, which makes the
+    factorization the unique one with a positive-diagonal R and hence Q
+    exactly Haar.  In the measure-zero event that some |R_jj| underflows to 0
+    the draw is retried on the next sub-stream (logged), keeping the result a
+    pure function of ``stream``.  The result is Fortran-ordered with the
+    LAPACK binding and C-ordered without it.
     """
     _check_int("n", n, 3, odd=True)
     attempt = 0
