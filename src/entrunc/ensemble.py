@@ -13,6 +13,8 @@ Each engine rule and its measured reason are stated once, in the docstring of:
 * ``_small_route``: walk or m×m Grams, from (n, m).
 * ``_outside_read``: an anchor read off the rows outside it, from (n, s).
 * ``_chunk``: how many draws the kernel reads together.
+* ``_workspace`` and ``_read_small``: how many walk steps and window levels a
+  reader holds at once.
 * ``_pipelined``: when a worker thread reads draw j while the run draws j + 1.
 * ``_walk``, ``_read_small``, ``_read_outside`` and ``_windows``: the readers.
 * ``unitaries._one_blas_thread`` and ``unitaries._qr``: BLAS threads, the QR.
@@ -21,9 +23,10 @@ Reproducibility contract: realization j draws from ``base.child(j, 0)`` and
 ``base.child(j, 1)`` for the two subsystems and serves every m, so cells of
 different m in one run are correlated.  A window's value depends only on the
 draw and (n, m, s): not on the other windows requested (:func:`loss_sweep`
-is exactly the diagonal of :func:`run_ensemble`), the chunk or the thread.
-Draws and reductions go in index order, so the output is bit-identical for a
-fixed master seed and numpy/BLAS build, and row j of a run's record equals
+is exactly the diagonal of :func:`run_ensemble`), the chunk, the readers'
+block sizes or the thread.  Draws and reductions go in index order, so the
+output is bit-identical for a fixed master seed, numpy build, OpenBLAS
+kernel and engine version, and row j of a run's record equals
 ``run_cell(…, base.child(j))``.  Where OpenBLAS has its thread setter, no
 output byte depends on the BLAS thread count (``unitaries._one_blas_thread``).
 A run raises the error the serial order meets first, and logs a progress
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from time import monotonic
@@ -204,19 +208,36 @@ def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
     return a[i:i + s] @ b[i:i + s].T
 
 
+#: Bytes of a walk workspace's factor stacks (``_workspace``).
+_STEP_BLOCK_BYTES = 3 * 2**18
+
+
 def _workspace(count: int, n: int, widest: int) -> tuple:
     """The walk's buffers for up to ``count`` stacked n×n states up to window ``widest``.
 
-    The row Gram, the evolved states, every step's two factors and every
-    step's ``_dgemm`` arguments (None without the binding).  ``_collect``
-    keeps one per run: fresh factor stacks cost every walk their page faults
-    again, and the arguments took 96 µs to build at n = 51 (R = 6, one BLAS
-    thread), as long as 7 of the walk's 24 steps there.
+    The row Gram, the evolved states, the two factors of one block of steps,
+    and each slot's ``_dgemm`` arguments (``_dgemm_calls``; without the
+    binding, the array the fallback's products go to).  ``_collect`` keeps one
+    per run: fresh factor stacks cost every walk their page faults again, and
+    the arguments took 96 µs to build at n = 51 (R = 6, one BLAS thread), as
+    long as 7 of the walk's 24 steps there.
+
+    A block holds as many steps as ``_STEP_BLOCK_BYTES`` does, at 96·R·n bytes
+    a step: three times the bytes of a chunk's 2¹⁴ complex entries (``_chunk``).
+    A whole walk's factors take under 48·R·n² bytes, so every walk up to
+    n = 128, each chunk of 6 at n = 51 among them, stays one block and makes
+    the calls it made with all steps held.  Blocks of 16 steps (with blocks of
+    16 levels in ``_read_small``) took ``sweep51`` 0.18-0.24 s wall against
+    0.17-0.18 s (4 of 4 alternating perfbench pairs).  At n = 201 a block
+    holds 40 of the 99 steps, 0.77 MB against 1.9 MB, and a walk at one BLAS
+    thread took 4.2 ms at m = 51 either way and 5.0 against 4.9 ms at m = 201
+    (minima of 30).
     """
     gram = np.empty((count, n, n), complex)
     steps = (widest - 3) // 2
-    left, right = np.empty((count, steps, n, 4)), np.empty((count, steps, 4, 2 * n))
-    calls = None if _dgemm is None else _dgemm_calls(gram.view(float), left, right)
+    block = min(steps, max(1, _STEP_BLOCK_BYTES // (96 * count * n)))
+    left, right = np.empty((count, block, n, 4)), np.empty((count, block, 4, 2 * n))
+    calls = np.empty_like(gram) if _dgemm is None else _dgemm_calls(gram.view(float), left, right)
     return gram, np.empty_like(gram), left, right, calls
 
 
@@ -242,36 +263,39 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
     is Re(p_i·p̄_k) and entry 2k + 1 is Im(p_i·p̄_k).  The product is real
     because OpenBLAS serves a complex one with an inner dimension of 2 poorly
     (CHANGES.md keeps the timings); at one BLAS thread a step took 21 µs at
-    n = 201 and 13 µs for R = 6 at n = 51.
+    n = 201 and 13 µs for R = 6 at n = 51.  The workspace holds the factors of
+    one block of B steps (``_workspace``): four calls fill a block's at its
+    first step, and step k uses slot k mod B.  A fill copies and conjugates
+    entries, so no bit depends on B.
     """
     (rows, cols, coeffs), s_values, walked, *_ = plan
-    count, n, steps = len(pairs), len(pairs[0][0]), (walked[-1] - 3) // 2
+    count, n = len(pairs), len(pairs[0][0])
     *buffers, calls = workspace
     gram, evolved, left, right = (buffer[:count] for buffer in buffers)
-    left, right = left[:, :steps], right[:, :steps]
     for (u_a, u_b), state in zip(pairs, evolved):  # evolve(beta, u_a, u_b), one draw at a time
         a = u_a[:, rows]
         a *= coeffs
         np.matmul(a, u_b[:, cols].T, out=state)
-    lo = (n - 3) // 2
+    lo, block = (n - 3) // 2, left.shape[1]
     strip = evolved[..., lo:lo + 3]
     np.matmul(strip, strip.conj().swapaxes(-1, -2), out=gram)
-    # both factors of every step, filled in place: step k adds columns lo − k − 1 and lo + k + 3
-    new = left.view(complex)  # (R, steps, n, 2): ℓ_i = p_i as floats
-    new[..., 0] = evolved[..., lo - steps:lo][..., ::-1].swapaxes(-1, -2)
-    new[..., 1] = evolved[..., lo + 3:lo + 3 + steps].swapaxes(-1, -2)
-    spread = right.view(complex)  # (R, steps, 4, n): rows p̄₁, i·p̄₁, p̄₂, i·p̄₂
-    np.conjugate(new.swapaxes(-1, -2), out=spread[..., ::2, :])
-    np.multiply(spread[..., ::2, :], 1j, out=spread[..., 1::2, :])
-    flat, step = gram.view(float), evolved.view(float)  # without _dgemm, the products overwrite the states
+    new = left.view(complex)  # (R, block, n, 2): ℓ_i = p_i as floats
+    spread = right.view(complex)  # (R, block, 4, n): rows p̄₁, i·p̄₁, p̄₂, i·p̄₂
+    flat = gram.view(float)
     for k, s in enumerate(range(3, walked[-1] + 1, 2), -1):
-        if s > 3:  # two more columns: a rank-2 update
-            lo -= 1
-            if calls is None:
-                flat += np.matmul(left[:, k], right[:, k], out=step)
-            else:
-                for args in calls[k][:count]:
+        if s > 3:  # two more columns, lo and lo + s − 1: a rank-2 update
+            lo, slot = lo - 1, k % block
+            if not slot:  # the next steps add columns lo, lo − 1, … and lo + s − 1, lo + s, …
+                size = min(block, (walked[-1] - s) // 2 + 1)
+                new[:, :size, :, 0] = evolved[..., lo - size + 1:lo + 1][..., ::-1].swapaxes(-1, -2)
+                new[:, :size, :, 1] = evolved[..., lo + s - 1:lo + s - 1 + size].swapaxes(-1, -2)
+                np.conjugate(new[:, :size].swapaxes(-1, -2), out=spread[:, :size, ::2])
+                np.multiply(spread[:, :size, ::2], 1j, out=spread[:, :size, 1::2])
+            if isinstance(calls, list):
+                for args in calls[slot][:count]:
                     _dgemm(*args)
+            else:  # no binding: calls is the products' scratch, since later fills read the states
+                flat += np.matmul(left[:, slot], right[:, slot], out=calls[:count].view(float))
         if s in walked:
             out[:, :, s_values.index(s)] = _read(gram[:, lo:lo + s, lo:lo + s])
 
@@ -281,29 +305,46 @@ def _small_route(n: int, m: int) -> bool:
 
     The walk (``_walk``) costs O(n³) whatever m is; the m×m route O(n m²)
     plus O(m³) per window.  At the run's one BLAS thread, on every odd window
-    of one draw, they are level for m = 29-33 at n = 201 (m = 26: 3.0 ms m×m,
-    4.5 ms walked; m = 38: 6.4 and 4.7 ms) and, with chunks of 6 draws batching
-    the walk, at m = 13 for n = 51 (0.19 ms per draw), where walking every m
-    left ``sweep51`` level (each faster in 5 of 10 alternating perfbench pairs).
-    The rule, m² ≤ 8n, reaches past both (m ≤ 40 at n = 201, m ≤ 20 at
-    n = 51); moving it would change the bits of the m it moves.  It reads
-    (n, m) alone, so a window's value depends only on the draw and (n, m, s).
+    of one draw (minima of 100 draws, in rounds), they are level near
+    m = 43-45 at n = 201 (m = 26: 1.75 ms m×m, 4.3 ms walked; m = 40: 3.5 and
+    4.3 ms; m = 47: 5.4-5.6 and 4.4-4.6 ms) and, with chunks of 6 draws
+    batching the walk, at m = 13 for n = 51 (0.19 ms per draw), where walking
+    every m left ``sweep51`` level (each faster in 5 of 10 alternating
+    perfbench pairs).  The rule, m² ≤ 8n, stays below the first (m ≤ 40 at
+    n = 201) and reaches past the second (m ≤ 20 at n = 51); moving it would
+    change the bits of the m it moves.  It reads (n, m) alone, so a window's
+    value depends only on the draw and (n, m, s).
     """
     return m * m <= 8 * n
 
 
-def _shell_grams(x: np.ndarray, levels: list[int]) -> np.ndarray:
-    """X_W†X_W of every window W of half-width S in ``levels`` (ascending), stacked.
+def _shell_grams(x: np.ndarray, top: int, block: int):
+    """X_W†X_W of every window W of half-width 0 … ``top``, ``block`` half-widths at a time.
 
     Shell S holds rows c − S and c + S of the n×m ``x`` (c the centre row):
-    one batched product gives every shell's m×m increment, and one cumsum over
-    shells sums them into the Grams of the nested windows.
+    one batched product gives a block's m×m shell increments, and a cumsum
+    over them, started from the last Gram of the block before, sums them into
+    the Grams of the nested windows.  Each sum is made in the order of one
+    cumsum over every shell, so no bit depends on ``block``.  Every block is
+    yielded in the same buffer, which the next one overwrites.
     """
-    c = x.shape[0] // 2
-    shells = np.stack([x[c::-1], x[c:]], axis=1)[:levels[-1] + 1]
-    grams = shells.conj().transpose(0, 2, 1) @ shells
-    grams[0] *= 0.5  # the centre row is in both halves of shell 0
-    return np.cumsum(grams, axis=0, out=grams)[levels]
+    c, m = len(x) // 2, x.shape[1]
+    down, up = x[c::-1], x[c:]
+    grams = np.empty((min(block, top + 1), m, m), complex)
+    for first in range(0, top + 1, block):
+        here = grams[:top + 1 - first]
+        shells = np.stack([down[first:first + len(here)], up[first:first + len(here)]], axis=1)
+        total = grams[-1].copy()  # the last Gram of the block before
+        np.matmul(shells.conj().transpose(0, 2, 1), shells, out=here)
+        if first:
+            here[0] += total
+        else:
+            here[0] *= 0.5  # the centre row is in both halves of shell 0
+        yield np.cumsum(here, axis=0, out=here)
+
+
+#: Bytes of one block of m×m Grams (``_read_small``).
+_LEVEL_BLOCK_BYTES = 2**18
 
 
 def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
@@ -311,10 +352,34 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
 
     With P = A_W†A_W and Q = B_W†B_W, the window's Gram G = A_W·Q̄·A_W† has
     w = tr G = tr(P·Q̄) and q = tr G² = tr((P·Q̄)²), so every window costs O(m³).
+
+    The levels S = s // 2 go in blocks of as many m×m Grams as
+    ``_LEVEL_BLOCK_BYTES`` holds (``_shell_grams``), and each block's products
+    and traces are taken for its wanted levels alone, so the route holds three
+    blocks whatever n is: a 0.95 MB traced peak at n = 201, m = 25, against
+    3.2 MB with the Grams of every level stacked (1.0 against 8.0 MB at
+    m = 40).  The budget, 2¹⁴ complex entries as in a chunk (``_chunk``), keeps
+    every route at n = 51 (m ≤ 20, 26 levels) in one block; at 2¹⁶ bytes the
+    m = 13 route there splits in two and took 0.17 against 0.13 ms.  At one
+    BLAS thread, over every window at n = 201, a call took 1.25-1.35 ms at
+    m = 25 with 2 minor page faults, against 2.4 ms and 747 with the whole
+    stacks, and 3.3-3.4 against 5.3-5.5 ms at m = 40; at 2¹⁷ bytes, 1.42 and
+    4.0 ms, at the same ``sweep201`` peak RSS.
     """
-    levels = [s // 2 for s in wanted]
-    pq = _shell_grams(a, levels) @ _shell_grams(b.conj(), levels)
-    return np.stack((np.einsum("kii->k", pq).real, np.einsum("kij,kji->k", pq, pq).real))
+    levels, m = [s // 2 for s in wanted], a.shape[1]
+    block = max(1, _LEVEL_BLOCK_BYTES // (16 * m * m))
+    out, pq = np.empty((2, len(levels))), np.empty((min(block, len(levels)), m, m), complex)
+    grams = zip(_shell_grams(a, levels[-1], block), _shell_grams(b.conj(), levels[-1], block))
+    for first, (p, q) in zip(range(0, levels[-1] + 1, block), grams):
+        i, j = bisect_left(levels, first), bisect_left(levels, first + block)
+        rows = [level - first for level in levels[i:j]]
+        # a product per run of consecutive levels, taken off slices of the Grams: copies would double the scratch
+        runs = [t for t in range(j - i) if not t or rows[t] > rows[t - 1] + 1] + [j - i]
+        for t, u in zip(runs, runs[1:]):
+            np.matmul(p[rows[t]:rows[u - 1] + 1], q[rows[t]:rows[u - 1] + 1], out=pq[t:u])
+        here = pq[:j - i]
+        out[:, i:j] = np.einsum("kii->k", here).real, np.einsum("kij,kji->k", here, here).real
+    return out
 
 
 def _outside_read(n: int, s: int) -> bool:

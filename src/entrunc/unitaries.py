@@ -138,12 +138,14 @@ def uniform_spreading_unitary(n: int) -> np.ndarray:
 
 
 def _dgemm_calls(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[list[tuple]]:
-    """The ``_dgemm`` arguments of c[r] ← a[r, k]·b[r, k] + c[r], for every k (outer list) and r.
+    """The ``_dgemm`` arguments of c[r] ← a[r, k]·b[r, k] + c[r], for every slot k (outer list) and r.
 
     ``c`` is an (R, M, N), ``a`` an (R, K, M, p) and ``b`` an (R, K, p, N)
     float stack.  Each call passes raw addresses, so the last two axes of all
     three must be C-contiguous (asserted).  A call gives the bits of
     ``c[r] += a[r, k] @ b[r, k]`` without the product's scratch array.
+    ``ensemble._workspace`` builds them once per run for the K slots of one
+    block of walk steps, whose factors are refilled in place block by block.
     """
     for x in (c, a, b):
         assert x.dtype == float and (x.strides[-2:] == (x.shape[-1] * 8, 8) or not x.size), x.strides

@@ -194,11 +194,71 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
         entries = rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
         a, b = u_a[:, rows] * coeffs, u_b[:, cols]
         walked = np.empty((2, 1, len(windows)))
-        # a plan whose walk reads every window, the anchor and the m×m route's too
-        ensemble._walk((entries, windows, windows), [(u_a, u_b)], ensemble._workspace(1, n, n), walked)
-        small = ensemble._read_small(a, b, windows)
+        with unitaries._one_blas_thread():  # as a run reads
+            # a plan whose walk reads every window, the anchor and the m×m route's too
+            ensemble._walk((entries, windows, windows), [(u_a, u_b)], ensemble._workspace(1, n, n), walked)
+            small = ensemble._read_small(a, b, windows)
         for i, s in enumerate(windows):
             assert small[:, i] == pytest.approx(walked[:, 0, i], rel=1e-13, abs=0), (m, s)
+
+
+@pytest.mark.parametrize("n, m_values", [(9, (2, 5, 8)), (21, (3, 7, 12)), (51, (5, 13, 20))])
+def test_small_route_bits_do_not_depend_on_its_level_blocks(monkeypatch, n, m_values):
+    # Blocks of 1-3 window levels must give the bits of one block over every
+    # level: each Gram is summed in the order of one cumsum over all shells.
+    u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(41).child(n), True)
+    windows = list(range(3, n + 1, 2))
+    with unitaries._one_blas_thread():
+        for m in m_values:
+            assert ensemble._small_route(n, m)
+            rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
+            a, b = u_a[:, rows] * coeffs, u_b[:, cols]
+            for wanted in (windows, [s for s in windows if s != m | 1], windows[1::3], [n]):
+                monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", 16 * m * m * (n // 2 + 1))
+                whole = ensemble._read_small(a, b, wanted)  # one block
+                for levels in (1, 2, 3):
+                    monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", levels * 16 * m * m)
+                    assert np.array_equal(ensemble._read_small(a, b, wanted), whole), (m, levels, wanted)
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [201, 401])
+def test_small_route_memory_does_not_grow_with_the_window_range(n):
+    # Past its n×m inputs the route holds three blocks of ``_LEVEL_BLOCK_BYTES``
+    # whatever n is: with the m×m Grams of every level stacked, the traced
+    # peak at m = 25 was 3.2 MB at n = 201 and grew with n.
+    m = 25
+    u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
+    rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
+    a, b = u_a[:, rows] * coeffs, u_b[:, cols]
+    tracemalloc.start()
+    try:
+        ensemble._read_small(a, b, list(range(3, n + 1, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * ensemble._LEVEL_BLOCK_BYTES + 2 * a.nbytes, peak
+
+
+def test_sweep51_readers_take_one_block(monkeypatch):
+    # Both budgets keep every n = 51 reader in one block: the m×m routes
+    # (m ≤ 20; m = 5 and 13 in sweep51), and walks of 24 steps over chunks of 6.
+    blocks, shell_grams = [], ensemble._shell_grams
+
+    def counted(*args):
+        for grams in shell_grams(*args):
+            blocks.append(len(grams))
+            yield grams
+
+    monkeypatch.setattr(ensemble, "_shell_grams", counted)
+    u_a, u_b = ensemble._draw(51, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
+    for m in (5, 13, 20):
+        plan = ensemble._plan(51, m, tuple(range(3, 52, 2)))
+        blocks.clear()
+        ensemble._windows(plan, u_a, u_b, np.empty((2, len(plan[1]))))
+        assert blocks == [26, 26], m  # a's and b̄'s Grams, each in one block
+    assert ensemble._chunk(51) == 6
+    assert ensemble._workspace(6, 51, 51)[2].shape[1] == 24
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])
@@ -215,7 +275,8 @@ def test_wide_anchors_read_off_the_outside_rows_agree_with_their_block(n, kind, 
         block = ensemble._block(u_a[:, rows] * coeffs, u_b[:, cols], s)
         w_ref, q_ref = ensemble._read(block @ block.conj().T)
         out = np.empty((2, 1))  # this draw's record row, as a run of the one window s passes it
-        ensemble._windows(ensemble._plan(n, m, (s,)), u_a, u_b, out)
+        with unitaries._one_blas_thread():
+            ensemble._windows(ensemble._plan(n, m, (s,)), u_a, u_b, out)
         w, q = out[:, 0]
         assert w == pytest.approx(w_ref, rel=1e-13, abs=0), (s, m)
         assert q == pytest.approx(q_ref, rel=1e-13, abs=0), (s, m)
@@ -257,9 +318,12 @@ def test_walk_and_windows_write_complementary_windows(n, m_values, pairings):
     for m in m_values:
         plan = ensemble._plan(n, m, windows)
         walked, read = np.full((2, 1, len(windows)), np.nan), np.full((2, len(windows)), np.nan)
-        if plan[2]:  # the run calls _walk only for an m that walks
-            ensemble._walk(plan, [pair], ensemble._workspace(1, n, n), walked)
-        ensemble._windows(plan, *pair, read)
+        # on the run's one BLAS thread: on some OpenBLAS kernels (Haswell, Sandybridge) the
+        # evolution's product gives other bits at two threads, and run_cell reads on one
+        with unitaries._one_blas_thread():
+            if plan[2]:  # the run calls _walk only for an m that walks
+                ensemble._walk(plan, [pair], ensemble._workspace(1, n, n), walked)
+            ensemble._windows(plan, *pair, read)
         by_walk, by_windows = ~np.isnan(walked[:, 0]), ~np.isnan(read)
         assert (by_walk[0] == by_walk[1]).all() and (by_windows[0] == by_windows[1]).all(), m
         assert (by_walk[0] != by_windows[0]).all(), m  # complementary, and covering every window
@@ -683,11 +747,12 @@ def test_stacked_walk_equals_one_state_at_a_time():
     assert walked == [s for s in range(3, n + 1, 2) if s != m | 1]
     pairs = [ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(3).child(j), True) for j in range(4)]
     stacked = np.full((2, 4, len(plan[1])), np.nan)
-    ensemble._walk(plan, pairs, ensemble._workspace(4, n, walked[-1]), stacked)
-    for r, pair in enumerate(pairs):
-        single = np.full((2, 1, len(plan[1])), np.nan)
-        ensemble._walk(plan, [pair], ensemble._workspace(1, n, walked[-1]), single)
-        assert np.array_equal(stacked[:, r], single[:, 0], equal_nan=True), r
+    with unitaries._one_blas_thread():
+        ensemble._walk(plan, pairs, ensemble._workspace(4, n, walked[-1]), stacked)
+        for r, pair in enumerate(pairs):
+            single = np.full((2, 1, len(plan[1])), np.nan)
+            ensemble._walk(plan, [pair], ensemble._workspace(1, n, walked[-1]), single)
+            assert np.array_equal(stacked[:, r], single[:, 0], equal_nan=True), r
 
 
 @pytest.mark.skipif(ensemble._dgemm is None, reason="numpy links no scipy-openblas64 cblas_dgemm")
@@ -699,9 +764,10 @@ def test_walk_without_the_dgemm_binding_is_bit_identical(monkeypatch, n, m, coun
     plan = ensemble._plan(n, m, tuple(range(3, n + 1, 2)))
     pairs = [ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(5).child(j), True) for j in range(count)]
     fused, fallback = (np.full((2, count, len(plan[1])), np.nan) for _ in range(2))
-    ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fused)
-    monkeypatch.setattr(ensemble, "_dgemm", None)
-    ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fallback)
+    with unitaries._one_blas_thread():
+        ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fused)
+        monkeypatch.setattr(ensemble, "_dgemm", None)
+        ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fallback)
     walked = plan[4]
     assert not np.isnan(fused[..., walked]).any()
     assert np.array_equal(fused, fallback, equal_nan=True)
@@ -716,16 +782,63 @@ def test_walk_reuses_its_workspace():
     plan = ensemble._plan(n, m, tuple(range(3, n + 1, 2)))  # every window but the anchor walks
     workspace = ensemble._workspace(1, n, plan[2][-1])
     first, second = np.empty((2, 1, len(plan[1]))), np.empty((2, 1, len(plan[1])))
-    ensemble._walk(plan, [pair], workspace, first)
-    tracemalloc.start()
-    try:
-        ensemble._walk(plan, [pair], workspace, second)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with unitaries._one_blas_thread():
+        ensemble._walk(plan, [pair], workspace, first)
+        tracemalloc.start()
+        try:
+            ensemble._walk(plan, [pair], workspace, second)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     walked = plan[4]  # the anchor's column is no walk's to write
     assert np.array_equal(second[..., walked], first[..., walked])
     assert peak < n * n * np.dtype(complex).itemsize, peak
+
+
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("n, m, count", [(9, 9, 3), (21, 13, 2), (51, 38, 6)])
+def test_walk_bits_do_not_depend_on_its_step_blocks(monkeypatch, n, m, count, fused):
+    # Factor stacks of 1-3 steps, refilled at each block's first step, must
+    # give the bits of one block over the whole walk, through ``_dgemm`` and
+    # through its fallback.
+    if fused and ensemble._dgemm is None:
+        pytest.skip("numpy links no scipy-openblas64 cblas_dgemm")
+    if not fused:
+        monkeypatch.setattr(ensemble, "_dgemm", None)
+    pairs = [ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(43).child(j), True) for j in range(count)]
+    steps = (n - 3) // 2
+    with unitaries._one_blas_thread():
+        for windows in (tuple(range(3, n + 1, 2)), tuple(range(3, n + 1, 4))):
+            plan = ensemble._plan(n, m, windows)
+            whole = np.full((2, count, len(windows)), np.nan)
+            monkeypatch.setattr(ensemble, "_STEP_BLOCK_BYTES", steps * 96 * count * n)
+            workspace = ensemble._workspace(count, n, n)
+            assert workspace[2].shape[1] == steps  # one block
+            ensemble._walk(plan, pairs, workspace, whole)
+            assert not np.isnan(whole[..., plan[4]]).any()
+            for block in (1, 2, 3):
+                monkeypatch.setattr(ensemble, "_STEP_BLOCK_BYTES", block * 96 * count * n)
+                workspace = ensemble._workspace(count, n, n)
+                assert workspace[2].shape[1] == min(block, steps)
+                split = np.full_like(whole, np.nan)
+                ensemble._walk(plan, pairs, workspace, split)
+                assert np.array_equal(split, whole, equal_nan=True), (windows, block)
+
+
+def test_walk_workspace_holds_one_block_of_factors():
+    # At n = 201 the factors of all 99 steps took 1.9 MB, three times the Gram;
+    # the workspace holds the Gram, the states and ``_STEP_BLOCK_BYTES`` of factors.
+    n = 201
+    gram = n * n * np.dtype(complex).itemsize
+    assert 96 * n * (n - 3) // 2 > ensemble._STEP_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        workspace = ensemble._workspace(1, n, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert workspace[2].nbytes + workspace[3].nbytes <= ensemble._STEP_BLOCK_BYTES
+    assert peak < 2 * gram + ensemble._STEP_BLOCK_BYTES + 2**16, peak
 
 
 def test_each_run_allocates_at_most_one_walk_workspace(monkeypatch):
