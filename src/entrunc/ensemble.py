@@ -51,8 +51,7 @@ from .errors import DegenerateTruncationError, DimensionError
 from .pipeline import _check_weight, truncate
 from .statespace import HilbertDims, _check_int, _encoding_entries
 from .unitaries import (
-    RngStream, _dgemm, _dgemm_calls, _one_blas_thread, _set_blas_threads, sample_cue,
-    uniform_spreading_unitary,
+    RngStream, _dgemm_calls, _one_blas_thread, _set_blas_threads, sample_cue, uniform_spreading_unitary,
 )
 
 __all__ = [
@@ -128,7 +127,8 @@ class EnsembleStats:
     draw for the deterministic uniform kind).  ``mean_K``, ``std_K``
     (population standard deviation; all zeros for the deterministic kind) and
     ``mean_captured_weight`` are reduced from it by ``_reduce`` on first read
-    and kept, each of shape (len(config.m_values), len(config.s_values)).
+    and kept (``K`` once, for both of its statistics), each of shape
+    (len(config.m_values), len(config.s_values)).
     """
 
     config: SweepConfig
@@ -141,12 +141,11 @@ class EnsembleStats:
         return len(self.K)
 
     @cached_property
-    def mean_K(self) -> np.ndarray:
-        return _reduce(self.K)[0]
+    def _K_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        return _reduce(self.K)
 
-    @cached_property
-    def std_K(self) -> np.ndarray:
-        return _reduce(self.K)[1]
+    mean_K = property(lambda self: self._K_moments[0])
+    std_K = property(lambda self: self._K_moments[1])
 
     @cached_property
     def mean_captured_weight(self) -> np.ndarray:
@@ -216,10 +215,9 @@ def _workspace(count: int, n: int, widest: int) -> tuple:
     """The walk's buffers for up to ``count`` stacked n×n states up to window ``widest``.
 
     The row Gram, the evolved states, the two factors of one block of steps,
-    and each slot's ``_dgemm`` arguments (``_dgemm_calls``; without the
-    binding, the array the fallback's products go to).  ``_collect`` keeps one
-    per run: fresh factor stacks cost every walk their page faults again, and
-    the arguments took 96 µs to build at n = 51 (R = 6, one BLAS thread), as
+    and each slot's rank-2 update calls (``_dgemm_calls``).  ``_collect`` keeps
+    one per run: fresh factor stacks cost every walk their page faults again,
+    and the calls took 96 µs to build at n = 51 (R = 6, one BLAS thread), as
     long as 7 of the walk's 24 steps there.
 
     A block holds as many steps as ``_STEP_BLOCK_BYTES`` does, at 96·R·n bytes
@@ -237,8 +235,7 @@ def _workspace(count: int, n: int, widest: int) -> tuple:
     steps = (widest - 3) // 2
     block = min(steps, max(1, _STEP_BLOCK_BYTES // (96 * count * n)))
     left, right = np.empty((count, block, n, 4)), np.empty((count, block, 4, 2 * n))
-    calls = np.empty_like(gram) if _dgemm is None else _dgemm_calls(gram.view(float), left, right)
-    return gram, np.empty_like(gram), left, right, calls
+    return gram, np.empty_like(gram), left, right, _dgemm_calls(gram.view(float), left, right)
 
 
 def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) -> None:
@@ -256,8 +253,7 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
 
     A step adds p·p† for the n×2 pair p of new columns as one real
     (n×4)·(4×2n) product into the Gram's float view (Re and Im interleaved):
-    per state one ``_dgemm`` call with β = 1, with the bits of the fallback,
-    numpy's matmul and a ``+=`` (tested).  Row i of the row factor is
+    per state one of the calls of ``_dgemm_calls``.  Row i of the row factor is
     ℓ_i = (Re p_i1, Im p_i1, Re p_i2, Im p_i2); the column factor is the float
     view of the complex 4×n stack [p̄₁; i·p̄₁; p̄₂; i·p̄₂], so entry 2k of row i
     is Re(p_i·p̄_k) and entry 2k + 1 is Im(p_i·p̄_k).  The product is real
@@ -281,7 +277,6 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
     np.matmul(strip, strip.conj().swapaxes(-1, -2), out=gram)
     new = left.view(complex)  # (R, block, n, 2): ℓ_i = p_i as floats
     spread = right.view(complex)  # (R, block, 4, n): rows p̄₁, i·p̄₁, p̄₂, i·p̄₂
-    flat = gram.view(float)
     for k, s in enumerate(range(3, walked[-1] + 1, 2), -1):
         if s > 3:  # two more columns, lo and lo + s − 1: a rank-2 update
             lo, slot = lo - 1, k % block
@@ -291,11 +286,8 @@ def _walk(plan: tuple, pairs: list[tuple], workspace: tuple, out: np.ndarray) ->
                 new[:, :size, :, 1] = evolved[..., lo + s - 1:lo + s - 1 + size].swapaxes(-1, -2)
                 np.conjugate(new[:, :size].swapaxes(-1, -2), out=spread[:, :size, ::2])
                 np.multiply(spread[:, :size, ::2], 1j, out=spread[:, :size, 1::2])
-            if isinstance(calls, list):
-                for args in calls[slot][:count]:
-                    _dgemm(*args)
-            else:  # no binding: calls is the products' scratch, since later fills read the states
-                flat += np.matmul(left[:, slot], right[:, slot], out=calls[:count].view(float))
+            for call in calls[slot][:count]:
+                call()
         if s in walked:
             out[:, :, s_values.index(s)] = _read(gram[:, lo:lo + s, lo:lo + s])
 

@@ -16,9 +16,11 @@ for uniform sweeps over m=2 alone).
 
 Every parsed cell goes through ``_cell``, which accepts exactly what the
 writer emits: an integer for m and s, a finite number for every other
-column, and an empty cell (CSV) or null (JSON) for an absent optional value.
-It converts the cell's text, so a JSON ``3.0`` or ``true`` for m is refused
-just as the same CSV text is.  A header that names a column twice is
+column, each in the ASCII digits of a JSON number, and an empty cell (CSV)
+or null (JSON) for an absent optional value.  It reads the cell's text, so a
+JSON ``3.0`` or ``true`` for m is refused just as the same CSV text is, and
+so are padded cells, ``1_3`` and non-ASCII digits, which ``int`` and
+``float`` would take.  A header that names a column twice is
 refused, and every parsed row must obey the writer's dimension rules, which
 ``HilbertDims`` states: m >= 2 and odd s >= 3, both at most the metadata's
 n when it gives one.  A ``run_kind=loss`` table holds only s = m rows.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +56,9 @@ _OPTIONAL_COLUMNS = ("std_K", "analytic_K")
 CANONICAL_COLUMNS = ("m", "s", "mean_K", *_OPTIONAL_COLUMNS, "captured_weight")
 _REQUIRED_COLUMNS = tuple(c for c in CANONICAL_COLUMNS if c not in _OPTIONAL_COLUMNS)
 FORMAT_NAME = "entrunc-result"
+# the text of an integer, and of a JSON number, which covers every repr of a finite float
+_INTEGER = re.compile("-?(?:0|[1-9][0-9]*)")
+_NUMBER = re.compile(_INTEGER.pattern + "(?:[.][0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -212,10 +218,12 @@ def _cell(column: str, cell):
     """Read one cell of ``column`` back from its text; an empty or null cell is None."""
     if cell in ("", None):
         return None
-    text = str(cell)
-    if not math.isfinite(float(text)):
+    text, integer = str(cell), column in ("m", "s")
+    if not (_INTEGER if integer else _NUMBER).fullmatch(text):
+        raise EntruncError(f"{column} must be {'an integer' if integer else 'a number'}, got {text!r}")
+    if not math.isfinite(value := float(text)):
         raise EntruncError(f"{column} must be a finite number, got {text}")
-    return int(text) if column in ("m", "s") else float(text)
+    return int(text) if integer else value
 
 
 def _read_table(metadata: dict[str, str], columns: list[str], records: list[list]) -> ResultTable:

@@ -5,9 +5,10 @@ Unitaries use the same level-to-offset convention as the state matrices
 unitary ensemble (Haar measure) via QR decomposition of a complex Ginibre
 matrix with the standard diagonal phase correction, and are reproducible:
 the same :class:`RngStream` always yields the same matrix for a fixed
-numpy/BLAS build.  The module also binds the BLAS library that numpy links,
-where it can: its QR (``_qr``), its ``cblas_dgemm`` (``_dgemm``, for
-``ensemble._walk``) and its thread setter (``_one_blas_thread``).
+numpy/BLAS build.  The module is the one that binds the BLAS library numpy
+links (``_bind``) and knows which routines are bound: its QR (``_qr``), its
+``cblas_dgemm`` (``_dgemm_calls``, for ``ensemble._walk``) and its thread
+setter (``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import logging
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,39 +29,34 @@ __all__ = ["RngStream", "uniform_spreading_unitary", "sample_cue"]
 logger = logging.getLogger(__name__)
 
 
-# numpy's linalg extension links its BLAS, so a lookup on it also searches the BLAS library; where
-# numpy links no shared BLAS and LAPACK, every binding below is None and its caller falls back to numpy.
+# numpy's linalg extension links its BLAS, so a lookup on it also searches the BLAS library.
 try:
     _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
 except OSError:
     _lib = None
 
+
+def _bind(name: str, argtypes=None, restype=None):
+    """The routine ``name`` of ``_lib`` with its signature set, or None where it is not there."""
+    routine = getattr(_lib, name, None)
+    if routine is not None:
+        routine.argtypes, routine.restype = argtypes, restype
+    return routine
+
+
 # OpenBLAS 0.3.27 on exports a setter of the BLAS thread count that returns the previous count.
-try:
-    _set_blas_threads = _lib.openblas_set_num_threads_local
-    _set_blas_threads.argtypes, _set_blas_threads.restype = [ctypes.c_int], ctypes.c_int
-except AttributeError:  # another BLAS, an older OpenBLAS or no library
-    _set_blas_threads = None
+_set_blas_threads = _bind("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int)
 
-
-# numpy's wheels link scipy-openblas64, whose LAPACK names carry a scipy_ prefix and take 64-bit integers.
-try:
-    _geqrf, _ungqr = (getattr(_lib, f"scipy_z{name}_64_") for name in ("geqrf", "ungqr"))
-except AttributeError:
-    _geqrf = _ungqr = None
-else:
-    _int, _array = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(complex, flags="F_CONTIGUOUS")
-    # zgeqrf(m, n, a, lda, tau, work, lwork, info) and zungqr(m, n, k, a, lda, tau, work, lwork, info)
-    _geqrf.argtypes = [_int, _int, _array, _int, _array, _array, _int, _int]
-    _ungqr.argtypes = [_int, _int, _int, _array, _int, _array, _array, _int, _int]
-    _geqrf.restype = _ungqr.restype = None
+# numpy's wheels link scipy-openblas64, whose LAPACK names carry a scipy_ prefix and take 64-bit integers:
+# zgeqrf(m, n, a, lda, tau, work, lwork, info) and zungqr(m, n, k, a, lda, tau, work, lwork, info).
+_int, _array = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(complex, flags="F_CONTIGUOUS")
+_geqrf = _bind("scipy_zgeqrf_64_", [_int, _int, _array, _int, _array, _array, _int, _int])
+_ungqr = _bind("scipy_zungqr_64_", [_int, _int, _int, _array, _int, _array, _array, _int, _int])
 
 # The same library's cblas_dgemm(order, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc),
 # the call numpy's float matmul makes, takes its enums as C ints and its sizes as 64-bit integers. It
 # has no argtypes: converting the arguments on each call costs more than the call (``_dgemm_calls``).
-_dgemm = getattr(_lib, "scipy_cblas_dgemm64_", None)
-if _dgemm is not None:
-    _dgemm.restype = None
+_dgemm = _bind("scipy_cblas_dgemm64_")
 
 
 _blas_lock = threading.RLock()
@@ -137,25 +133,37 @@ def uniform_spreading_unitary(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(levels, levels) / n) / np.sqrt(n)
 
 
-def _dgemm_calls(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[list[tuple]]:
-    """The ``_dgemm`` arguments of c[r] ← a[r, k]·b[r, k] + c[r], for every slot k (outer list) and r.
+def _dgemm_calls(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[list[partial]]:
+    """A zero-argument call of c[r] ← a[r, k]·b[r, k] + c[r] for every slot k (outer list) and r.
 
     ``c`` is an (R, M, N), ``a`` an (R, K, M, p) and ``b`` an (R, K, p, N)
-    float stack.  Each call passes raw addresses, so the last two axes of all
-    three must be C-contiguous (asserted).  A call gives the bits of
-    ``c[r] += a[r, k] @ b[r, k]`` without the product's scratch array.
+    float stack, whose last two axes must be C-contiguous (asserted).  With the
+    ``_dgemm`` binding a call passes raw addresses to it, with β = 1, and
+    gives the bits of ``c[r] += a[r, k] @ b[r, k]`` without the product's
+    scratch array (tested).  Without it a call is that matmul into one M×N
+    scratch, which every call shares, and a ``+=`` into ``c[r]``.
     ``ensemble._workspace`` builds them once per run for the K slots of one
     block of walk steps, whose factors are refilled in place block by block.
     """
     for x in (c, a, b):
         assert x.dtype == float and (x.strides[-2:] == (x.shape[-1] * 8, 8) or not x.size), x.strides
+    if _dgemm is None:
+        scratch = np.empty(c.shape[1:])
+        return [[partial(_add_product, c[r], a[r, k], b[r, k], scratch) for r in range(len(c))]
+                for k in range(a.shape[1])]
     m, n, p = (ctypes.c_int64(size) for size in (*c.shape[1:], a.shape[-1]))
     one, at = ctypes.c_double(1.0), ctypes.c_void_p
     (c0, cr, _, _), (a0, ar, ak, _, _), (b0, br, bk, _, _) = ((x.ctypes.data, *x.strides) for x in (c, a, b))
     cs = [at(c0 + r * cr) for r in range(len(c))]
     # 101, 111: CblasRowMajor, CblasNoTrans
-    return [[(101, 111, 111, m, n, p, one, at(a0 + r * ar + k * ak), p, at(b0 + r * br + k * bk), n,
-              one, c_r, n) for r, c_r in enumerate(cs)] for k in range(a.shape[1])]
+    return [[partial(_dgemm, 101, 111, 111, m, n, p, one, at(a0 + r * ar + k * ak), p,
+                     at(b0 + r * br + k * bk), n, one, c_r, n) for r, c_r in enumerate(cs)]
+            for k in range(a.shape[1])]
+
+
+def _add_product(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
+    """c += a·b through ``scratch``: ``_dgemm_calls``' call without the binding."""
+    c += np.matmul(a, b, out=scratch)
 
 
 def _lapack(routine, *args) -> None:
@@ -188,9 +196,10 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same two routines with the same lwork, between copies of the input, of
     Q and of all of R (bit-equality is tested).  At one BLAS thread it took
     3.1 ms at n = 201 against 4.3-4.4 ms through ``np.linalg.qr``, and 0.125
-    against 0.130 ms at n = 51.  Elsewhere it is ``np.linalg.qr``.
+    against 0.130 ms at n = 51.  Unless both routines are bound, it is
+    ``np.linalg.qr``.
     """
-    if _geqrf is None:
+    if _geqrf is None or _ungqr is None:
         q, r = np.linalg.qr(a)
         return q, np.diagonal(r)
     n, (geqrf, ungqr) = len(a), _lwork(len(a))

@@ -63,6 +63,7 @@ def test_purity_m2_full_window_recovers_half(n):
     assert analytic_purity_m2(n, n) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.frozen
 def test_purity_m2_frozen_values():
     assert analytic_purity_m2(201, 3) == pytest.approx(PURITY_M2_N201_S3, rel=1e-14)
     assert analytic_purity_m2(201, 101) == pytest.approx(PURITY_M2_N201_S101, rel=1e-14)

@@ -181,6 +181,7 @@ def test_check_conjecture_small_encoding_is_informational(capsys):
         (["--m", "3"], EXIT_OK, "8c681fe00c2bd9fcabaf3ecaa343cd56d0d2f82c8aff5ac94606313fb8996033"),
     ],
 )
+@pytest.mark.frozen
 def test_check_conjecture_stdout_is_frozen(capsys, argv, code, digest):
     assert run_main(["check-conjecture", "--n", "21", "--m", "13", *argv]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -267,6 +268,7 @@ LOSS_ROWS = [
          "787bc971d6af068042bb132b8237a5c274537f8bce266d35d35186c66b381361"),
     ],
 )
+@pytest.mark.frozen
 def test_render_svg_bytes_are_frozen(run_kind, rows, digest):
     metadata = {"run_kind": run_kind, "n": "9", "unitary_kind": "random"}
     table = ResultTable(metadata=metadata, rows=tuple(ResultRow(*row) for row in rows))
@@ -308,6 +310,10 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
         "dup_column.csv": "m,m,s,mean_K,captured_weight\n3,5,3,1.0,0.5\n",
         "neg_m.csv": "# run_kind=sweep\nm,s,mean_K,captured_weight\n-4,2,1.0,0.5\n",
         "s_over_n.csv": "# n=9\nm,s,mean_K,captured_weight\n3,11,1.0,0.5\n",
+        # int() and float() take these, the writer never emits them: m = 13, s = 5, mean_K = 10.5
+        "underscore_digits.csv": "m,s,mean_K,captured_weight\n1_3,5,1_0.5,0.5\n",
+        "padded_cell.csv": "m,s,mean_K,captured_weight\n13, 5 ,10.5,0.5\n",
+        "arabic_indic_m.csv": "m,s,mean_K,captured_weight\n\u0661\u0663,5,10.5,0.5\n",
         # A loss table holds only s = m rows; these would plot as one m with two points.
         "loss_off_diagonal.json": '{"format": "entrunc-result", "metadata": {"n": "9", "run_kind": "loss"},'
                                   ' "columns": ["m", "s", "mean_K", "captured_weight"],'

@@ -437,6 +437,7 @@ def tiny_config(**overrides):
     return SweepConfig(**kwargs)
 
 
+@pytest.mark.frozen
 def test_frozen_per_realization_values():
     t = TINY_ENSEMBLE
     base = RngStream(t["master_seed"])
@@ -447,6 +448,7 @@ def test_frozen_per_realization_values():
             assert w == pytest.approx(t["weight_per_realization"][s][j], rel=1e-12)
 
 
+@pytest.mark.frozen
 def test_frozen_ensemble_statistics():
     t = TINY_ENSEMBLE
     stats = run_ensemble(tiny_config())
@@ -755,7 +757,7 @@ def test_stacked_walk_equals_one_state_at_a_time():
             assert np.array_equal(stacked[:, r], single[:, 0], equal_nan=True), r
 
 
-@pytest.mark.skipif(ensemble._dgemm is None, reason="numpy links no scipy-openblas64 cblas_dgemm")
+@pytest.mark.skipif(unitaries._dgemm is None, reason="numpy links no scipy-openblas64 cblas_dgemm")
 @pytest.mark.parametrize("n, m, count", [(51, 38, 6), (201, 201, 1), (201, 101, 1)])
 def test_walk_without_the_dgemm_binding_is_bit_identical(monkeypatch, n, m, count):
     # Each fused step C ← A·B + C must give the bits of numpy's matmul into a
@@ -766,7 +768,7 @@ def test_walk_without_the_dgemm_binding_is_bit_identical(monkeypatch, n, m, coun
     fused, fallback = (np.full((2, count, len(plan[1])), np.nan) for _ in range(2))
     with unitaries._one_blas_thread():
         ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fused)
-        monkeypatch.setattr(ensemble, "_dgemm", None)
+        monkeypatch.setattr(unitaries, "_dgemm", None)
         ensemble._walk(plan, pairs, ensemble._workspace(count, n, plan[2][-1]), fallback)
     walked = plan[4]
     assert not np.isnan(fused[..., walked]).any()
@@ -801,10 +803,10 @@ def test_walk_bits_do_not_depend_on_its_step_blocks(monkeypatch, n, m, count, fu
     # Factor stacks of 1-3 steps, refilled at each block's first step, must
     # give the bits of one block over the whole walk, through ``_dgemm`` and
     # through its fallback.
-    if fused and ensemble._dgemm is None:
+    if fused and unitaries._dgemm is None:
         pytest.skip("numpy links no scipy-openblas64 cblas_dgemm")
     if not fused:
-        monkeypatch.setattr(ensemble, "_dgemm", None)
+        monkeypatch.setattr(unitaries, "_dgemm", None)
     pairs = [ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(43).child(j), True) for j in range(count)]
     steps = (n - 3) // 2
     with unitaries._one_blas_thread():
@@ -839,6 +841,19 @@ def test_walk_workspace_holds_one_block_of_factors():
         tracemalloc.stop()
     assert workspace[2].nbytes + workspace[3].nbytes <= ensemble._STEP_BLOCK_BYTES
     assert peak < 2 * gram + ensemble._STEP_BLOCK_BYTES + 2**16, peak
+
+
+def test_walk_workspace_without_the_dgemm_binding_holds_one_scratch(monkeypatch):
+    # Without the binding every update call of a chunk of 6 draws at n = 51 goes
+    # through one Gram-sized float scratch: the calls own no other array.
+    n, count = 51, 6
+    monkeypatch.setattr(unitaries, "_dgemm", None)
+    gram, _, left, _, calls = ensemble._workspace(count, n, n)
+    assert len(calls) == left.shape[1] and all(len(slot) == count for slot in calls)
+    owned = {id(x): x for slot in calls for call in slot for x in call.args if x.base is None}
+    assert len(owned) == 1
+    (scratch,) = owned.values()
+    assert scratch.dtype == float and scratch.shape == gram.view(float).shape[1:] == (n, 2 * n)
 
 
 def test_each_run_allocates_at_most_one_walk_workspace(monkeypatch):
@@ -970,6 +985,16 @@ def test_identical_draws_reduce_to_their_value():
     point, = loss_sweep(config)
     assert (point.mean_K, point.std_loss) == (k, 0.0)
     assert np.all(stats.K == k)
+
+
+def test_stats_reduce_each_record_once(monkeypatch):
+    # mean_K and std_K come from one reduction of K, and every statistic is kept after its first read.
+    stats = run_ensemble(SweepConfig(n=9, m_values=(3,), s_values=(3, 5), realizations=4, master_seed=2))
+    reduced, reduce = [], ensemble._reduce
+    monkeypatch.setattr(ensemble, "_reduce", lambda record: reduced.append(record) or reduce(record))
+    for _ in range(2):
+        stats.mean_K, stats.std_K, stats.mean_captured_weight, stats.cell(3, 5)
+    assert [id(record) for record in reduced] == [id(stats.K), id(stats.captured_weight)]
 
 
 def test_progress_lines_leave_results_unchanged(monkeypatch, caplog):

@@ -93,6 +93,24 @@ def test_cue_without_the_lapack_binding_is_the_textbook_formula(monkeypatch):
     np.testing.assert_array_equal(sample_cue(201, stream), _textbook_cue(201, stream))
 
 
+def test_bind_of_an_absent_symbol_is_none(monkeypatch):
+    assert unitaries._bind("entrunc_no_such_routine", [], None) is None
+    monkeypatch.setattr(unitaries, "_lib", None)  # numpy links no shared library
+    assert unitaries._bind("scipy_cblas_dgemm64_") is None
+
+
+@pytest.mark.parametrize("unbound", ["_geqrf", "_ungqr"])
+def test_qr_without_either_lapack_routine_is_numpys(monkeypatch, unbound):
+    # zgeqrf and zungqr are a pair: without either one, _qr is np.linalg.qr, bit for bit.
+    monkeypatch.setattr(unitaries, unbound, None)
+    rng = np.random.default_rng(7)
+    a = np.asfortranarray(rng.standard_normal((131, 131)) + 1j * rng.standard_normal((131, 131)))
+    with unitaries._one_blas_thread():
+        expected_q, expected_r = np.linalg.qr(a)
+        q, diag = unitaries._qr(a.copy(order="F"))
+    assert np.array_equal(q, expected_q) and np.array_equal(diag, np.diagonal(expected_r))
+
+
 @pytest.mark.skipif(unitaries._geqrf is None, reason="numpy links no scipy-openblas64 LAPACK")
 def test_cue_allocates_little_beyond_its_result():
     # The draw factors its Ginibre matrix in place: one n×n result plus one n×n
