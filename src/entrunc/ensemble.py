@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from time import monotonic
@@ -346,8 +345,14 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
     w = tr G = tr(P·Q̄) and q = tr G² = tr((P·Q̄)²), so every window costs O(m³).
 
     The levels S = s // 2 go in blocks of as many m×m Grams as
-    ``_LEVEL_BLOCK_BYTES`` holds (``_shell_grams``), and each block's products
-    and traces are taken for its wanted levels alone, so the route holds three
+    ``_LEVEL_BLOCK_BYTES`` holds (``_shell_grams``), and each block takes one
+    P·Q̄ product and its traces over every level it holds, wanted or not.  So
+    a sparse ``wanted`` costs what every window up to its widest costs: at one
+    BLAS thread (minima of 50 calls, in five rounds), windows 3, 99 and 199 at
+    n = 201, m = 40 took 3.2-3.3 ms against 3.3-3.4 ms for every window and
+    2.1-2.5 ms with a product per run of wanted levels, and 3 and 51 at
+    n = 51, m = 20 took 0.21 against 0.16-0.19 ms; no benchmark, CI or README
+    run sends this route a sparse list past one block.  The route holds three
     blocks whatever n is: a 0.95 MB traced peak at n = 201, m = 25, against
     3.2 MB with the Grams of every level stacked (1.0 against 8.0 MB at
     m = 40).  The budget, 2¹⁴ complex entries as in a chunk (``_chunk``), keeps
@@ -358,20 +363,13 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
     stacks, and 3.3-3.4 against 5.3-5.5 ms at m = 40; at 2¹⁷ bytes, 1.42 and
     4.0 ms, at the same ``sweep201`` peak RSS.
     """
-    levels, m = [s // 2 for s in wanted], a.shape[1]
+    top, m = wanted[-1] // 2, a.shape[1]
     block = max(1, _LEVEL_BLOCK_BYTES // (16 * m * m))
-    out, pq = np.empty((2, len(levels))), np.empty((min(block, len(levels)), m, m), complex)
-    grams = zip(_shell_grams(a, levels[-1], block), _shell_grams(b.conj(), levels[-1], block))
-    for first, (p, q) in zip(range(0, levels[-1] + 1, block), grams):
-        i, j = bisect_left(levels, first), bisect_left(levels, first + block)
-        rows = [level - first for level in levels[i:j]]
-        # a product per run of consecutive levels, taken off slices of the Grams: copies would double the scratch
-        runs = [t for t in range(j - i) if not t or rows[t] > rows[t - 1] + 1] + [j - i]
-        for t, u in zip(runs, runs[1:]):
-            np.matmul(p[rows[t]:rows[u - 1] + 1], q[rows[t]:rows[u - 1] + 1], out=pq[t:u])
-        here = pq[:j - i]
-        out[:, i:j] = np.einsum("kii->k", here).real, np.einsum("kij,kji->k", here, here).real
-    return out
+    pq, traces = np.empty((min(block, top + 1), m, m), complex), []
+    for p, q in zip(_shell_grams(a, top, block), _shell_grams(b.conj(), top, block)):
+        here = np.matmul(p, q, out=pq[:len(p)])
+        traces.append((np.einsum("kii->k", here).real, np.einsum("kij,kji->k", here, here).real))
+    return np.concatenate(traces, axis=1)[:, [s // 2 for s in wanted]]
 
 
 def _outside_read(n: int, s: int) -> bool:

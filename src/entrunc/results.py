@@ -215,10 +215,13 @@ def render_table(table: ResultTable, format: str) -> str:
 
 
 def _cell(column: str, cell):
-    """Read one cell of ``column`` back from its text; an empty or null cell is None."""
-    if cell in ("", None):
+    """Read one cell of ``column``, or the metadata ``n``, back from its text.
+
+    An empty or null cell is None; an empty or null ``n`` is refused.
+    """
+    if cell in ("", None) and column != "n":
         return None
-    text, integer = str(cell), column in ("m", "s")
+    text, integer = str(cell), column in ("m", "s", "n")
     if not (_INTEGER if integer else _NUMBER).fullmatch(text):
         raise EntruncError(f"{column} must be {'an integer' if integer else 'a number'}, got {text!r}")
     if not math.isfinite(value := float(text)):
@@ -244,7 +247,7 @@ def _read_table(metadata: dict[str, str], columns: list[str], records: list[list
         raise EntruncError(f"missing result columns {missing}")
     if not records:
         raise EntruncError("no data rows")
-    n = int(str(metadata["n"])) if "n" in metadata else None
+    n = _cell("n", metadata["n"]) if "n" in metadata else None
     if n is not None:
         HilbertDims(n, 2)  # the metadata's own n, before any row is blamed for it
     rows = []

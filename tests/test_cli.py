@@ -233,6 +233,16 @@ def test_plot_renders_wellformed_svg(tmp_path, kind):
     assert svg.stat().st_size > 500
 
 
+def test_plot_escapes_the_metadata_it_shows(tmp_path):
+    kind = "<script>alert(1)</script> & co"
+    table, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+    table.write_text(f"# unitary_kind={kind}\n# n=9\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n3,5,1.5,0.7\n")
+    assert run_main(["plot", str(table), "--out", str(svg)]) == EXIT_OK
+    root = ET.parse(svg).getroot()
+    assert f"{kind} sweep, n=9" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert not [e for e in root.iter() if e.tag.endswith("script")]
+
+
 def test_plot_is_deterministic(tmp_path):
     table = make_table_file(tmp_path, "sweep")
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -314,6 +324,11 @@ def test_plot_rejects_foreign_input(tmp_path, capsys):
         "underscore_digits.csv": "m,s,mean_K,captured_weight\n1_3,5,1_0.5,0.5\n",
         "padded_cell.csv": "m,s,mean_K,captured_weight\n13, 5 ,10.5,0.5\n",
         "arabic_indic_m.csv": "m,s,mean_K,captured_weight\n\u0661\u0663,5,10.5,0.5\n",
+        # the metadata n takes the cells' integer grammar: n = 201, and an empty n
+        "underscore_n.csv": "# n=2_01\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n",
+        "arabic_indic_n.json": '{"format": "entrunc-result", "metadata": {"n": "\u0662\u0660\u0661"},'
+                               ' "columns": ["m", "s", "mean_K", "captured_weight"], "rows": [[3, 3, 1.0, 0.5]]}',
+        "empty_n.csv": "# n=\nm,s,mean_K,captured_weight\n3,3,1.0,0.5\n",
         # A loss table holds only s = m rows; these would plot as one m with two points.
         "loss_off_diagonal.json": '{"format": "entrunc-result", "metadata": {"n": "9", "run_kind": "loss"},'
                                   ' "columns": ["m", "s", "mean_K", "captured_weight"],'

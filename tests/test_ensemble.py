@@ -206,6 +206,8 @@ def test_small_encoding_route_agrees_with_the_walk(n, m_values):
 def test_small_route_bits_do_not_depend_on_its_level_blocks(monkeypatch, n, m_values):
     # Blocks of 1-3 window levels must give the bits of one block over every
     # level: each Gram is summed in the order of one cumsum over all shells.
+    # A sparse list must give the bits of the full list's columns, also where
+    # its windows fall in different blocks or a block holds none of them.
     u_a, u_b = ensemble._draw(n, UnitaryKind.RANDOM_CUE, RngStream(41).child(n), True)
     windows = list(range(3, n + 1, 2))
     with unitaries._one_blas_thread():
@@ -213,13 +215,15 @@ def test_small_route_bits_do_not_depend_on_its_level_blocks(monkeypatch, n, m_va
             assert ensemble._small_route(n, m)
             rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
             a, b = u_a[:, rows] * coeffs, u_b[:, cols]
-            for wanted in (windows, [s for s in windows if s != m | 1], windows[1::3], [n]):
-                monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", 16 * m * m * (n // 2 + 1))
-                whole = ensemble._read_small(a, b, wanted)  # one block
-                for levels in (1, 2, 3):
-                    monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", levels * 16 * m * m)
-                    assert np.array_equal(ensemble._read_small(a, b, wanted), whole), (m, levels, wanted)
-                monkeypatch.undo()
+            monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", 16 * m * m * (n // 2 + 1))
+            whole = ensemble._read_small(a, b, windows)  # one block over every level
+            for levels in (n // 2 + 1, 1, 2, 3):
+                monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", levels * 16 * m * m)
+                for wanted in (windows, [s for s in windows if s != m | 1], windows[1::3], [n],
+                               windows[:2] + windows[-2:]):
+                    read = ensemble._read_small(a, b, wanted)
+                    assert np.array_equal(read, whole[:, [windows.index(s) for s in wanted]]), (m, levels, wanted)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", [201, 401])
