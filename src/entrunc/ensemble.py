@@ -7,14 +7,15 @@ one record; ``_collect`` alone forms K = w²/q from it, and ``_reduce`` every
 mean and population std.  The chain ``truncate → reduced_purity →
 schmidt_number`` is the single-window reference the tests hold every window to.
 
-Each engine rule and its measured reason are stated once, in the docstring of:
+Each engine rule and its measured reason are stated once, in the documentation of:
 
 * ``_plan``: which reader takes each window; where the weight rule is checked.
 * ``_small_route``: walk or m×m Grams, from (n, m).
 * ``_outside_read``: an anchor read off the rows outside it, from (n, s).
-* ``_chunk``: how many draws the kernel reads together.
-* ``_workspace`` and ``_read_small``: how many walk steps and window levels a
-  reader holds at once.
+* ``_BLOCK_BYTES``: the one scratch budget that sizes a chunk of draws
+  (``_chunk``), a block of walk steps (``_workspace``) and a block of window
+  levels (``_read_small``).
+* ``_chunk``: why the kernel reads draws together.
 * ``_pipelined``: when a worker thread reads draw j while the run draws j + 1.
 * ``_walk``, ``_read_small``, ``_read_outside`` and ``_windows``: the readers.
 * ``unitaries._one_blas_thread`` and ``unitaries._qr``: BLAS threads, the QR.
@@ -27,7 +28,9 @@ is exactly the diagonal of :func:`run_ensemble`), the chunk, the readers'
 block sizes or the thread.  Draws and reductions go in index order, so the
 output is bit-identical for a fixed master seed, numpy build, OpenBLAS
 kernel and engine version, and row j of a run's record equals
-``run_cell(…, base.child(j))``.  Where OpenBLAS has its thread setter, no
+``run_cell(…, base.child(j))``.  Across OpenBLAS kernels the mean K and the
+mean weight agree to 1e-14 relative, and the std of K to 1e-14 of the mean K
+(README, "Reproducibility").  Where OpenBLAS has its thread setter, no
 output byte depends on the BLAS thread count (``unitaries._one_blas_thread``).
 A run raises the error the serial order meets first, and logs a progress
 line with rate and ETA at most every ``PROGRESS_EVERY_S`` seconds.
@@ -46,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, DimensionError
+from .errors import DegenerateTruncationError, DimensionError, EntruncError
 from .pipeline import _check_weight, truncate
 from .statespace import HilbertDims, _check_int, _encoding_entries
 from .unitaries import (
@@ -67,6 +70,26 @@ logger = logging.getLogger(__name__)
 
 #: Least wall time between two progress lines, so runs shorter than this log none.
 PROGRESS_EVERY_S = 10.0
+
+#: The engine's one scratch budget, 2¹⁴ complex entries.  About that many
+#: state entries make a chunk of draws (``_chunk``), a block of walk steps
+#: holds it in its row factor and three times it in both (``_workspace``), and
+#: a block of m×m Grams holds it (``_read_small``).  No bit depends on it.  At
+#: 2¹⁸ bytes every n = 51 reader is one block: every walk up to n = 128 (its
+#: factors take under 48·R·n² bytes), each chunk of 6 at n = 51 among them,
+#: and every m×m route there (m ≤ 20, 26 levels).  Blocks of 16 steps and 16
+#: levels took ``sweep51`` 0.18-0.24 s wall against 0.17-0.18 s (4 of 4
+#: alternating perfbench pairs).  At one BLAS thread: at 2¹⁶ bytes the m = 13
+#: route at n = 51 splits in two and took 0.17 against 0.13 ms; at 2¹⁷ bytes
+#: the m×m route over every window at n = 201 took 1.42 ms at m = 25 and
+#: 4.0 ms at m = 40, against 1.25-1.35 and 3.3-3.4 ms, at the same
+#: ``sweep201`` peak RSS.  At n = 201 a walk block holds 40 of the 99 steps,
+#: 0.77 MB against 1.9 MB, and a walk took 4.2 ms at m = 51 either way and 5.0
+#: against 4.9 ms at m = 201 (minima of 30); the m×m route's three blocks
+#: peak at 0.95 MB at m = 25 against 3.2 MB with every level's Gram stacked
+#: (1.0 against 8.0 MB at m = 40), and it took 1.25-1.35 against 2.4 ms (2
+#: minor page faults against 747) and 3.3-3.4 against 5.3-5.5 ms at m = 40.
+_BLOCK_BYTES = 2**18
 
 
 class UnitaryKind(enum.Enum):
@@ -114,6 +137,11 @@ class SweepConfig:
             HilbertDims(self.n, self.m_values[0], s)
         _check_int("realizations", self.realizations, 1)
         _check_int("master_seed", self.master_seed, 0)
+        # no CLI flag sets these two, so their errors are not DimensionErrors, which the CLI maps to flags
+        if not isinstance(self.unitary_kind, UnitaryKind):
+            raise EntruncError(f"unitary_kind must be a UnitaryKind, got {self.unitary_kind!r}")
+        if not isinstance(self.independent_ab, bool):
+            raise EntruncError(f"independent_ab must be a bool, got {self.independent_ab!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +206,6 @@ def _draw(
     if unitary_kind is UnitaryKind.UNIFORM_SPREADING:
         u = uniform_spreading_unitary(n)
         return u, u
-    if stream is None:
-        raise ValueError("a stream is required for random-unitary cells")
     u_a = sample_cue(n, stream.child(0))
     return u_a, sample_cue(n, stream.child(1)) if independent_ab else u_a
 
@@ -206,10 +232,6 @@ def _block(a: np.ndarray, b: np.ndarray, s: int) -> np.ndarray:
     return a[i:i + s] @ b[i:i + s].T
 
 
-#: Bytes of a walk workspace's factor stacks (``_workspace``).
-_STEP_BLOCK_BYTES = 3 * 2**18
-
-
 def _workspace(count: int, n: int, widest: int) -> tuple:
     """The walk's buffers for up to ``count`` stacked n×n states up to window ``widest``.
 
@@ -219,20 +241,12 @@ def _workspace(count: int, n: int, widest: int) -> tuple:
     and the calls took 96 µs to build at n = 51 (R = 6, one BLAS thread), as
     long as 7 of the walk's 24 steps there.
 
-    A block holds as many steps as ``_STEP_BLOCK_BYTES`` does, at 96·R·n bytes
-    a step: three times the bytes of a chunk's 2¹⁴ complex entries (``_chunk``).
-    A whole walk's factors take under 48·R·n² bytes, so every walk up to
-    n = 128, each chunk of 6 at n = 51 among them, stays one block and makes
-    the calls it made with all steps held.  Blocks of 16 steps (with blocks of
-    16 levels in ``_read_small``) took ``sweep51`` 0.18-0.24 s wall against
-    0.17-0.18 s (4 of 4 alternating perfbench pairs).  At n = 201 a block
-    holds 40 of the 99 steps, 0.77 MB against 1.9 MB, and a walk at one BLAS
-    thread took 4.2 ms at m = 51 either way and 5.0 against 4.9 ms at m = 201
-    (minima of 30).
+    A block holds ``_BLOCK_BYTES`` of the row factor, 32·R·n bytes a step, so
+    the two factor stacks, 96·R·n bytes a step, hold at most three times it.
     """
     gram = np.empty((count, n, n), complex)
     steps = (widest - 3) // 2
-    block = min(steps, max(1, _STEP_BLOCK_BYTES // (96 * count * n)))
+    block = min(steps, max(1, _BLOCK_BYTES // (32 * count * n)))
     left, right = np.empty((count, block, n, 4)), np.empty((count, block, 4, 2 * n))
     return gram, np.empty_like(gram), left, right, _dgemm_calls(gram.view(float), left, right)
 
@@ -334,10 +348,6 @@ def _shell_grams(x: np.ndarray, top: int, block: int):
         yield np.cumsum(here, axis=0, out=here)
 
 
-#: Bytes of one block of m×m Grams (``_read_small``).
-_LEVEL_BLOCK_BYTES = 2**18
-
-
 def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
     """(w, q) of the rank-m state a·bᵀ at each window of ``wanted`` (ascending): shape (2, |wanted|).
 
@@ -345,7 +355,7 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
     w = tr G = tr(P·Q̄) and q = tr G² = tr((P·Q̄)²), so every window costs O(m³).
 
     The levels S = s // 2 go in blocks of as many m×m Grams as
-    ``_LEVEL_BLOCK_BYTES`` holds (``_shell_grams``), and each block takes one
+    ``_BLOCK_BYTES`` holds (``_shell_grams``), and each block takes one
     P·Q̄ product and its traces over every level it holds, wanted or not.  So
     a sparse ``wanted`` costs what every window up to its widest costs: at one
     BLAS thread (minima of 50 calls, in five rounds), windows 3, 99 and 199 at
@@ -353,18 +363,10 @@ def _read_small(a: np.ndarray, b: np.ndarray, wanted: list[int]) -> np.ndarray:
     2.1-2.5 ms with a product per run of wanted levels, and 3 and 51 at
     n = 51, m = 20 took 0.21 against 0.16-0.19 ms; no benchmark, CI or README
     run sends this route a sparse list past one block.  The route holds three
-    blocks whatever n is: a 0.95 MB traced peak at n = 201, m = 25, against
-    3.2 MB with the Grams of every level stacked (1.0 against 8.0 MB at
-    m = 40).  The budget, 2¹⁴ complex entries as in a chunk (``_chunk``), keeps
-    every route at n = 51 (m ≤ 20, 26 levels) in one block; at 2¹⁶ bytes the
-    m = 13 route there splits in two and took 0.17 against 0.13 ms.  At one
-    BLAS thread, over every window at n = 201, a call took 1.25-1.35 ms at
-    m = 25 with 2 minor page faults, against 2.4 ms and 747 with the whole
-    stacks, and 3.3-3.4 against 5.3-5.5 ms at m = 40; at 2¹⁷ bytes, 1.42 and
-    4.0 ms, at the same ``sweep201`` peak RSS.
+    blocks, whatever n is.
     """
     top, m = wanted[-1] // 2, a.shape[1]
-    block = max(1, _LEVEL_BLOCK_BYTES // (16 * m * m))
+    block = max(1, _BLOCK_BYTES // (16 * m * m))
     pq, traces = np.empty((min(block, top + 1), m, m), complex), []
     for p, q in zip(_shell_grams(a, top, block), _shell_grams(b.conj(), top, block)):
         here = np.matmul(p, q, out=pq[:len(p)])
@@ -482,6 +484,8 @@ def run_cell(
     ``stream`` is that sweep's ``RngStream(master_seed).child(j)``.
     """
     HilbertDims(n, m)  # names m itself, not the config's m_values
+    if unitary_kind is UnitaryKind.RANDOM_CUE and stream is None:
+        raise DimensionError("stream must be given for a random-unitary cell, got None")
     # every rule is checked before the pair is drawn
     config = SweepConfig(n, (m,), s_values, unitary_kind, independent_ab=independent_ab)
     k, w = _collect(config, [config.s_values], [stream])
@@ -489,7 +493,7 @@ def run_cell(
 
 
 def _chunk(n: int) -> int:
-    """Realizations drawn and evaluated together: about 2¹⁴ state entries, one draw from n = 91.
+    """Realizations drawn and evaluated together: ``_BLOCK_BYTES`` of states, one draw from n = 91.
 
     At small n the kernels cost their numpy call overhead more than their
     arithmetic, and one call serves a whole chunk: ``_walk`` walks its draws
@@ -497,7 +501,7 @@ def _chunk(n: int) -> int:
     draw, ``sweep51`` (n = 51) took 0.36-0.43 s wall against 0.26-0.31 s, in
     6 of 6 alternating perfbench pairs, for 1.5 MB less peak RSS.
     """
-    return max(1, 2**14 // (n * n))
+    return max(1, _BLOCK_BYTES // (16 * n * n))
 
 
 def _streams(config: SweepConfig) -> list[RngStream | None]:

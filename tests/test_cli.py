@@ -2,6 +2,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import entrunc.ensemble as ensemble
 from entrunc import (
+    EntruncError,
     ResultRow,
     ResultTable,
     SweepConfig,
@@ -243,6 +245,19 @@ def test_plot_escapes_the_metadata_it_shows(tmp_path):
     assert not [e for e in root.iter() if e.tag.endswith("script")]
 
 
+def test_one_row_table_plots_to_finite_svg():
+    # One point spans no range on either axis: each axis is padded to a unit range.
+    row = ResultRow(m=3, s=5, mean_K=1.5, std_K=None, analytic_K=None, captured_weight=0.4)
+    svg = render_svg(ResultTable(metadata={"run_kind": "sweep", "n": "9"}, rows=(row,)))
+    assert ET.fromstring(svg).tag.endswith("svg")
+    assert "nan" not in svg and "inf" not in svg
+
+
+def test_render_svg_refuses_an_empty_table():
+    with pytest.raises(EntruncError, match="empty"):
+        render_svg(ResultTable(metadata={"n": "9"}, rows=()))
+
+
 def test_plot_is_deterministic(tmp_path):
     table = make_table_file(tmp_path, "sweep")
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -377,6 +392,58 @@ def test_degenerate_narrow_window_below_the_anchor_exits_3(monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.count(f"error: realization 0, m={m}: truncation window s=3 captures weight") == 1
     assert "realization 1" not in err and "Traceback" not in err
+
+
+# --- across OpenBLAS kernels ------------------------------------------------------
+
+#: The kernels forced through OPENBLAS_CORETYPE, and the /proc/cpuinfo flags each one needs.
+KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}, "Prescott": {"pni"}}
+#: How far mean_K and captured_weight may move across kernels, relative to
+#: themselves, and std_K relative to mean_K (README, "Reproducibility").  Over
+#: CI's grids under these three kernels against SkylakeX, the largest moves
+#: were 1.41e-15, 1.43e-15 and 1.51e-15.
+KERNEL_TOLERANCE = 1e-14
+
+
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo") as info:
+            return next((set(line.partition(":")[2].split()) for line in info if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def test_values_agree_across_openblas_kernels(tmp_path):
+    # Each kernel can round a product differently, so the bytes differ, but
+    # every value stays within the stated tolerance of the CPU's own kernel's.
+    # std_K is bounded relative to mean_K: where it is roundoff (s = n), it
+    # moves by as much as itself.
+    kernels = [kernel for kernel, flags in KERNEL_FLAGS.items() if flags <= _cpu_flags()]
+    if not kernels:
+        pytest.skip("no x86 CPU flags to choose OpenBLAS kernels by")
+    here = os.path.dirname(__file__)
+    argv = [sys.executable, "-m", "entrunc.cli", "sweep-random", "--n", "51", "--m", "5,13,25,38,51",
+            "--realizations", "4", "--seed", "7", "--out"]
+    runs = {}
+    for kernel in ["host", *kernels]:
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(here, os.pardir, "src"),
+                                                          env.get("PYTHONPATH")]))
+        if kernel != "host":
+            env["OPENBLAS_CORETYPE"] = kernel
+        runs[kernel] = subprocess.Popen([*argv, str(tmp_path / f"{kernel}.csv")], env=env,
+                                        stderr=subprocess.PIPE, text=True)
+    for kernel, run in runs.items():
+        err = run.communicate(timeout=120)[1]
+        assert run.returncode == EXIT_OK, (kernel, err)
+    host = parse_table(tmp_path / "host.csv").rows
+    for kernel in kernels:
+        rows = parse_table(tmp_path / f"{kernel}.csv").rows
+        assert [(r.m, r.s) for r in rows] == [(r.m, r.s) for r in host]
+        for a, b in zip(host, rows):
+            assert b.mean_K == pytest.approx(a.mean_K, rel=KERNEL_TOLERANCE, abs=0), (kernel, a)
+            assert b.captured_weight == pytest.approx(a.captured_weight, rel=KERNEL_TOLERANCE, abs=0), (kernel, a)
+            assert abs(b.std_K - a.std_K) <= KERNEL_TOLERANCE * a.mean_K, (kernel, a, b)
 
 
 # --- installed entry point --------------------------------------------------------

@@ -19,6 +19,7 @@ import entrunc.unitaries as unitaries
 from entrunc import (
     DegenerateTruncationError,
     DimensionError,
+    EntruncError,
     HilbertDims,
     RngStream,
     SweepConfig,
@@ -64,6 +65,16 @@ def test_config_rejects_bad_input(kwargs):
         SweepConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [("unitary_kind", "uniform"), ("unitary_kind", None),
+                                          ("independent_ab", "false"), ("independent_ab", 0)])
+def test_config_rejects_a_kind_or_pairing_of_another_type(field, value):
+    # "uniform" ran a Haar sweep and "false" independent draws; neither field
+    # has a CLI flag, so the error is no DimensionError, which the CLI maps to one.
+    with pytest.raises(EntruncError, match=f"^{field} must be ") as raised:
+        SweepConfig(n=9, m_values=(3,), s_values=(3, 9), realizations=3, **{field: value})
+    assert not isinstance(raised.value, DimensionError)
+
+
 def test_config_coerces_lists_to_tuples():
     config = SweepConfig(n=9, m_values=[2, 3], s_values=[3, 5])
     assert config.m_values == (2, 3)
@@ -94,9 +105,12 @@ def test_random_cell_full_window_gives_K_equal_m(m):
     assert w == pytest.approx(1.0, abs=1e-12)
 
 
-def test_random_cell_requires_stream():
-    with pytest.raises(ValueError, match="stream"):
+def test_random_cell_requires_stream(monkeypatch):
+    draws = []
+    monkeypatch.setattr(ensemble, "sample_cue", lambda n, stream: draws.append(stream))
+    with pytest.raises(DimensionError, match="^stream must be given"):  # the package's own error, checked before drawing
         run_cell(9, 3, (3,), UnitaryKind.RANDOM_CUE)
+    assert draws == []
 
 
 def test_run_cell_checks_windows_before_drawing(monkeypatch):
@@ -215,10 +229,10 @@ def test_small_route_bits_do_not_depend_on_its_level_blocks(monkeypatch, n, m_va
             assert ensemble._small_route(n, m)
             rows, cols, coeffs = statespace._encoding_entries(HilbertDims(n, m))
             a, b = u_a[:, rows] * coeffs, u_b[:, cols]
-            monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", 16 * m * m * (n // 2 + 1))
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 16 * m * m * (n // 2 + 1))
             whole = ensemble._read_small(a, b, windows)  # one block over every level
             for levels in (n // 2 + 1, 1, 2, 3):
-                monkeypatch.setattr(ensemble, "_LEVEL_BLOCK_BYTES", levels * 16 * m * m)
+                monkeypatch.setattr(ensemble, "_BLOCK_BYTES", levels * 16 * m * m)
                 for wanted in (windows, [s for s in windows if s != m | 1], windows[1::3], [n],
                                windows[:2] + windows[-2:]):
                     read = ensemble._read_small(a, b, wanted)
@@ -228,7 +242,7 @@ def test_small_route_bits_do_not_depend_on_its_level_blocks(monkeypatch, n, m_va
 
 @pytest.mark.parametrize("n", [201, 401])
 def test_small_route_memory_does_not_grow_with_the_window_range(n):
-    # Past its n×m inputs the route holds three blocks of ``_LEVEL_BLOCK_BYTES``
+    # Past its n×m inputs the route holds three blocks of ``_BLOCK_BYTES``
     # whatever n is: with the m×m Grams of every level stacked, the traced
     # peak at m = 25 was 3.2 MB at n = 201 and grew with n.
     m = 25
@@ -241,7 +255,7 @@ def test_small_route_memory_does_not_grow_with_the_window_range(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * ensemble._LEVEL_BLOCK_BYTES + 2 * a.nbytes, peak
+    assert peak < 4 * ensemble._BLOCK_BYTES + 2 * a.nbytes, peak
 
 
 def test_sweep51_readers_take_one_block(monkeypatch):
@@ -263,6 +277,32 @@ def test_sweep51_readers_take_one_block(monkeypatch):
         assert blocks == [26, 26], m  # a's and b̄'s Grams, each in one block
     assert ensemble._chunk(51) == 6
     assert ensemble._workspace(6, 51, 51)[2].shape[1] == 24
+
+
+def test_one_budget_sizes_chunks_walk_steps_and_window_levels(monkeypatch):
+    # ``_BLOCK_BYTES`` alone sizes all three batches, at the sizes of the
+    # three separate budgets it replaced: at n = 201 a walk block holds 40 of
+    # the 99 steps and an m = 25 route reads 26 levels a block.
+    blocks, shell_grams = [], ensemble._shell_grams
+
+    def counted(*args):
+        for grams in shell_grams(*args):
+            blocks.append(len(grams))
+            yield grams
+
+    monkeypatch.setattr(ensemble, "_shell_grams", counted)
+    u_a, u_b = ensemble._draw(201, UnitaryKind.RANDOM_CUE, RngStream(7).child(0), True)
+    rows, cols, coeffs = statespace._encoding_entries(HilbertDims(201, 25))
+    a, b = u_a[:, rows] * coeffs, u_b[:, cols]
+
+    def sizes():
+        blocks.clear()
+        ensemble._read_small(a, b, list(range(3, 202, 2)))
+        return ensemble._chunk(51), ensemble._workspace(1, 201, 201)[2].shape[1], max(blocks)
+
+    assert sizes() == (6, 40, 26)
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", ensemble._BLOCK_BYTES // 2)
+    assert sizes() == (3, 20, 13)
 
 
 @pytest.mark.parametrize("independent_ab", [True, False])
@@ -817,13 +857,13 @@ def test_walk_bits_do_not_depend_on_its_step_blocks(monkeypatch, n, m, count, fu
         for windows in (tuple(range(3, n + 1, 2)), tuple(range(3, n + 1, 4))):
             plan = ensemble._plan(n, m, windows)
             whole = np.full((2, count, len(windows)), np.nan)
-            monkeypatch.setattr(ensemble, "_STEP_BLOCK_BYTES", steps * 96 * count * n)
+            monkeypatch.setattr(ensemble, "_BLOCK_BYTES", steps * 32 * count * n)
             workspace = ensemble._workspace(count, n, n)
             assert workspace[2].shape[1] == steps  # one block
             ensemble._walk(plan, pairs, workspace, whole)
             assert not np.isnan(whole[..., plan[4]]).any()
             for block in (1, 2, 3):
-                monkeypatch.setattr(ensemble, "_STEP_BLOCK_BYTES", block * 96 * count * n)
+                monkeypatch.setattr(ensemble, "_BLOCK_BYTES", block * 32 * count * n)
                 workspace = ensemble._workspace(count, n, n)
                 assert workspace[2].shape[1] == min(block, steps)
                 split = np.full_like(whole, np.nan)
@@ -833,18 +873,18 @@ def test_walk_bits_do_not_depend_on_its_step_blocks(monkeypatch, n, m, count, fu
 
 def test_walk_workspace_holds_one_block_of_factors():
     # At n = 201 the factors of all 99 steps took 1.9 MB, three times the Gram;
-    # the workspace holds the Gram, the states and ``_STEP_BLOCK_BYTES`` of factors.
+    # the workspace holds the Gram, the states and three ``_BLOCK_BYTES`` of factors.
     n = 201
     gram = n * n * np.dtype(complex).itemsize
-    assert 96 * n * (n - 3) // 2 > ensemble._STEP_BLOCK_BYTES
+    assert 96 * n * (n - 3) // 2 > 3 * ensemble._BLOCK_BYTES
     tracemalloc.start()
     try:
         workspace = ensemble._workspace(1, n, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert workspace[2].nbytes + workspace[3].nbytes <= ensemble._STEP_BLOCK_BYTES
-    assert peak < 2 * gram + ensemble._STEP_BLOCK_BYTES + 2**16, peak
+    assert workspace[2].nbytes + workspace[3].nbytes <= 3 * ensemble._BLOCK_BYTES
+    assert peak < 2 * gram + 3 * ensemble._BLOCK_BYTES + 2**16, peak
 
 
 def test_walk_workspace_without_the_dgemm_binding_holds_one_scratch(monkeypatch):

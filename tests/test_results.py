@@ -130,6 +130,26 @@ def test_round_trip_survives_arbitrary_floats(tmp_path, mean, std, analytic, wei
     assert parse_table(path).rows[0] == row
 
 
+def test_round_trip_keeps_a_column_set_in_some_rows_only(tmp_path):
+    # A row without std_K writes an empty cell, which reads back as None.
+    rows = (ResultRow(m=3, s=3, mean_K=1.0, std_K=0.25, analytic_K=None, captured_weight=0.5),
+            ResultRow(m=3, s=5, mean_K=1.5, std_K=None, analytic_K=None, captured_weight=0.7))
+    table = ResultTable(metadata={"run_kind": "sweep", "n": "9"}, rows=rows)
+    text = render_csv(table)
+    assert text.splitlines()[-1] == "3,5,1.5,,0.7"
+    path = tmp_path / "partial.csv"
+    path.write_text(text)
+    assert parse_table(path) == table
+
+
+def test_blank_csv_lines_are_skipped(tmp_path):
+    text = render_csv(random_table())
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text(text)
+    spaced.write_text("\n" + text.replace("\n", "\n\n", 3) + "  \n\n")
+    assert parse_table(spaced) == parse_table(plain)
+
+
 # --- failure modes ------------------------------------------------------------
 
 
